@@ -3,7 +3,8 @@
 Every benchmark regenerates one of the paper's tables or figures at full
 scale (DESIGN.md Section 3), prints the rows/series the paper reports, and
 persists them under ``benchmarks/results/``. A session-wide runner memoizes
-(workload, mode) runs so later figures reuse earlier simulations.
+(workload, mode) runs so later figures reuse earlier simulations. The perf
+suites append their measurements to the tracked ``benchmarks/history/``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.harness.experiments.common import shared_runner
 from repro.harness.resultcache import ResultCache
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+HISTORY_DIR = pathlib.Path(__file__).parent / "history"
 
 
 @pytest.fixture(scope="session")
@@ -34,17 +36,19 @@ def runner():
 
 @pytest.fixture(scope="session")
 def bench_history():
-    """Append a perf measurement to a ``BENCH_*.json`` history envelope.
+    """Append a perf measurement to ``benchmarks/history/<name>``.
 
     The perf suites used to ``write_text`` their record, silently clobbering
     every earlier suite's measurement — which is how the PR-1 and PR-4 BENCH
     files vanished. Records now accumulate keyed by git SHA + ISO date (see
-    :mod:`repro.harness.benchhistory`), and ``repro trend`` renders the
-    resulting trajectory.
+    :mod:`repro.harness.benchhistory`) in a tracked directory, and
+    ``repro trend`` renders the resulting trajectory.
     """
     from repro.harness.benchhistory import append_bench_record
 
-    def append(path, record):
+    def append(name, record):
+        HISTORY_DIR.mkdir(exist_ok=True)
+        path = HISTORY_DIR / name
         history = append_bench_record(path, record)
         entry = history["entries"][-1]
         print(

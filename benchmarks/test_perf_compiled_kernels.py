@@ -1,6 +1,6 @@
 """Perf benchmark: compiled kernel backends vs the scalar reference paths.
 
-Two measurements, recorded in ``benchmarks/results/BENCH_compiled_kernels.json``:
+Two measurements, recorded in ``benchmarks/history/BENCH_compiled_kernels.json``:
 
 1. **End-to-end figure point** — a fig10-sized point (the figure's four
    modes on one graph) on the *unmodified* default machine, modern
@@ -24,7 +24,6 @@ equivalence-tested, so any drift is a bug, not noise.
 
 from __future__ import annotations
 
-import pathlib
 import resource
 import time
 
@@ -38,8 +37,7 @@ from repro.harness.inputs import make_workload
 from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.modes import BASELINE, COBRA, PB_SW, PB_SW_IDEAL
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-BENCH_PATH = RESULTS_DIR / "BENCH_compiled_kernels.json"
+BENCH_NAME = "BENCH_compiled_kernels.json"
 
 SCALE = 16
 MODES = (BASELINE, PB_SW, PB_SW_IDEAL, COBRA)  # the fig10 mode set
@@ -143,8 +141,7 @@ def test_perf_compiled_kernels(bench_history):
         },
         "des_eviction": des,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    bench_history(BENCH_PATH, record)
+    bench_history(BENCH_NAME, record)
     print(
         f"\nbackend  {record['backend']['selected']} "
         f"(available: {', '.join(record['backend']['available'])})\n"

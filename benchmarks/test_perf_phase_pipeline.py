@@ -1,6 +1,6 @@
 """Perf benchmark: vectorized phase pipeline vs the scalar reference path.
 
-Two measurements, recorded in ``benchmarks/results/BENCH_phase_pipeline.json``:
+Two measurements, recorded in ``benchmarks/history/BENCH_phase_pipeline.json``:
 
 1. **Branch-predictor kernel** — mispredictions of a 1M-outcome stream
    through GShare and Bimodal, scalar loop vs ``simulate_array``. The
@@ -25,7 +25,6 @@ than O(trace).
 from __future__ import annotations
 
 import dataclasses
-import pathlib
 import resource
 import time
 import tracemalloc
@@ -38,8 +37,7 @@ from repro.harness.inputs import make_workload
 from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.modes import BASELINE, COBRA, PB_SW, PB_SW_IDEAL
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-BENCH_PATH = RESULTS_DIR / "BENCH_phase_pipeline.json"
+BENCH_NAME = "BENCH_phase_pipeline.json"
 
 OUTCOMES = 1_000_000
 SCALE = 16
@@ -168,8 +166,7 @@ def test_perf_phase_pipeline(monkeypatch, bench_history):
             "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         },
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    bench_history(BENCH_PATH, record)
+    bench_history(BENCH_NAME, record)
     print(
         f"\ngshare  {gshare['scalar_seconds']:.3f}s -> "
         f"{gshare['vector_seconds']:.3f}s ({gshare['speedup']:.1f}x)\n"

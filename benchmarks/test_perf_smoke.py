@@ -3,7 +3,7 @@
 Times a fixed small sweep (baseline / PB-SW / COBRA on one graph plus
 integer sort) three ways — seed-style scalar engine, batched engine, and a
 warm persistent cache — plus a raw engine microbench, and records the
-numbers in ``benchmarks/results/BENCH_trace_engine.json`` so future PRs
+numbers in ``benchmarks/history/BENCH_trace_engine.json`` so future PRs
 have a perf trajectory to compare against.
 
 The sweep machine disables the prefetcher and uses PLRU at the LLC so the
@@ -14,7 +14,6 @@ the scalar path by design — see ``repro.cache.batchsim``).
 from __future__ import annotations
 
 import dataclasses
-import pathlib
 import time
 
 import numpy as np
@@ -27,8 +26,7 @@ from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.modes import BASELINE, COBRA, PB_SW
 from repro.harness.resultcache import ResultCache
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-BENCH_PATH = RESULTS_DIR / "BENCH_trace_engine.json"
+BENCH_NAME = "BENCH_trace_engine.json"
 
 SCALE = 14
 MODES = (BASELINE, PB_SW, COBRA)
@@ -123,8 +121,7 @@ def test_perf_smoke(tmp_path, bench_history):
         "warm_speedup": scalar_seconds / warm_seconds,
         "engine_microbench": micro,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    bench_history(BENCH_PATH, record)
+    bench_history(BENCH_NAME, record)
     print(
         f"\nscalar cold {scalar_seconds:.2f}s | "
         f"batch cold {batch_seconds:.2f}s "

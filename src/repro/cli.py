@@ -660,7 +660,7 @@ def build_parser():
         "--results-dir",
         metavar="DIR",
         default=None,
-        help="directory holding BENCH_*.json (default: benchmarks/results/)",
+        help="directory holding BENCH_*.json (default: benchmarks/history/)",
     )
     trend_parser.add_argument(
         "--json",
@@ -904,14 +904,9 @@ def _cmd_replay(print_fn, args):
 def _cmd_trend(print_fn, args):
     import json
 
-    from repro.golden.trend import bench_trend, format_trend
-    from repro.harness.resultcache import default_cache_dir
+    from repro.golden.trend import HISTORY_DIR, bench_trend, format_trend
 
-    results_dir = (
-        args.results_dir
-        if args.results_dir is not None
-        else default_cache_dir().parent
-    )
+    results_dir = args.results_dir if args.results_dir is not None else HISTORY_DIR
     data = bench_trend(results_dir)
     if args.json:
         print_fn(json.dumps(data, indent=2, sort_keys=True))

@@ -22,11 +22,17 @@ __all__ = [
     "BranchSite",
     "simulate_sites",
     "BRANCH_BACKENDS",
+    "BRANCH_SAMPLE",
 ]
 
 BRANCH_BACKENDS = ("vector", "scalar")
 
 _BACKEND_ENV = "REPRO_BRANCH_BACKEND"
+
+#: Outcomes per branch site that reach the predictor. Longer streams are
+#: simulated on this prefix and their misprediction rate scaled to the
+#: site's dynamic count, so a workload need only build this many outcomes.
+BRANCH_SAMPLE = 200_000
 
 # The vectorized predictor kernel replays a 2-bit saturating counter over
 # packed symbol streams: each symbol is 0 (not taken), 1 (taken), or 2
@@ -368,7 +374,7 @@ def branch_backend(backend=None):
     return backend
 
 
-def simulate_sites(sites, predictor=None, max_simulated=200_000, backend=None):
+def simulate_sites(sites, predictor=None, max_simulated=BRANCH_SAMPLE, backend=None):
     """Total (scaled) mispredictions across branch sites.
 
     Simulates up to ``max_simulated`` outcomes per site through a shared

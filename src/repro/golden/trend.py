@@ -20,7 +20,10 @@ from pathlib import Path
 from repro.harness.benchhistory import load_history
 from repro.harness.report import format_table
 
-__all__ = ["bench_trend", "format_trend", "trend_metrics"]
+__all__ = ["HISTORY_DIR", "bench_trend", "format_trend", "trend_metrics"]
+
+#: Tracked home of the ``BENCH_*.json`` histories in a source checkout.
+HISTORY_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "history"
 
 
 def trend_metrics(record, prefix=""):

@@ -1,4 +1,4 @@
-"""Append-only history for ``benchmarks/results/BENCH_*.json`` records.
+"""Append-only history for ``benchmarks/history/BENCH_*.json`` records.
 
 The first three perf PRs each landed a ``BENCH_*.json``, and each suite
 re-run *overwrote* its file — so the repository's perf trajectory silently

@@ -8,12 +8,10 @@ bin-major order drop to compulsory misses at any realistic size.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cache.mrc import miss_ratio_curve, working_set_lines
 from repro.harness.experiments.common import ExperimentResult, shared_runner
 from repro.harness.report import format_table
-from repro.pb.bins import BinSpec
+from repro.pb.bins import BinSpec, group_order
 from repro.workloads.registry import resolve
 
 __all__ = ["run"]
@@ -36,7 +34,7 @@ def run(
     line_elems = 64 // workload.element_bytes
     raw_lines = (workload.update_indices // line_elems).tolist()
     spec = BinSpec.from_num_bins(workload.num_indices, num_bins)
-    order = np.argsort(spec.bins_of(workload.update_indices), kind="stable")
+    order = group_order(spec.bins_of(workload.update_indices), spec.num_bins)
     binned_lines = (workload.update_indices[order] // line_elems).tolist()
 
     rows = []

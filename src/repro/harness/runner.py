@@ -402,12 +402,11 @@ class Runner:
         if mode == modes.PB_SW:
             return workload.pb_phases(plan.compromise), None
         if mode == modes.PB_SW_IDEAL:
-            binning = workload.pb_phases(
-                plan.binning_best, include_init=False
-            )[0]
-            accumulate = workload._accumulate_phase(plan.accumulate_best)
-            init = workload._init_phase(plan.accumulate_best)
-            return [init, binning, accumulate], None
+            return [
+                workload._init_phase(plan.accumulate_best),
+                workload._binning_phase(plan.binning_best),
+                workload._accumulate_phase(plan.accumulate_best),
+            ], None
         if mode == modes.COBRA:
             cobra = self.cobra_config(workload)
             des_config = self._des_config(workload, cobra)

@@ -1,6 +1,6 @@
 """Software Propagation Blocking: bins, C-Buffers, executor, planner."""
 
-from repro.pb.bins import BinSpec, bin_counts, bin_offsets, bin_updates
+from repro.pb.bins import BinSpec, bin_counts, bin_offsets, bin_updates, group_order
 from repro.pb.cbuffer import CBufferModel
 from repro.pb.engine import PropagationBlocker, apply_updates_direct
 from repro.pb.multipass import MultiPassPartitioner
@@ -17,5 +17,6 @@ __all__ = [
     "bin_counts",
     "bin_offsets",
     "bin_updates",
+    "group_order",
     "plan_bins",
 ]

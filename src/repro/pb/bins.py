@@ -5,7 +5,8 @@ A :class:`BinSpec` fixes the number of bins and the power-of-two bin range
 tuple's bin is a bit shift). :func:`bin_updates` reorders an update stream
 into bin-major order exactly as a PB execution does: bins are FIFO, so a
 stable partition by bin ID reproduces the order in which the Accumulate
-phase replays updates.
+phase replays updates. :func:`group_order` is that stable partition, and
+every planner that groups updates by bin goes through it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro._util import (
     next_power_of_two,
 )
 
-__all__ = ["BinSpec", "bin_updates", "bin_counts", "bin_offsets"]
+__all__ = ["BinSpec", "bin_updates", "bin_counts", "bin_offsets", "group_order"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,23 @@ def bin_offsets(counts):
     return offsets
 
 
+def group_order(keys, num_groups):
+    """Stable grouping permutation of ``keys`` (each in ``[0, num_groups)``).
+
+    Equal to ``np.argsort(keys, kind="stable")``: the order in which PB's
+    Binning, a counting sort into FIFO bins, emits the stream. Keys are
+    narrowed to ``uint8``/``uint16`` when ``num_groups`` allows, which sends
+    numpy's stable sort down its linear radix path instead of a comparison
+    sort; wider key spaces fall back to the comparison sort.
+    """
+    keys = np.asarray(keys)
+    if num_groups <= 1 << 8:
+        keys = keys.astype(np.uint8)
+    elif num_groups <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
 def bin_updates(indices, values, spec: BinSpec):
     """Reorder an update stream into bin-major (PB Accumulate) order.
 
@@ -102,7 +120,7 @@ def bin_updates(indices, values, spec: BinSpec):
     if len(indices) and indices.max() >= spec.num_indices:
         raise ValueError("update stream contains indices beyond num_indices")
     bins = spec.bins_of(indices)
-    order = np.argsort(bins, kind="stable")
+    order = group_order(bins, spec.num_bins)
     offsets = bin_offsets(np.bincount(bins, minlength=spec.num_bins))
     binned_indices = indices[order]
     if values is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import as_index_array, check_positive
-from repro.pb.bins import BinSpec, bin_offsets
+from repro.pb.bins import BinSpec, bin_offsets, group_order
 
 __all__ = ["CBufferModel"]
 
@@ -50,10 +50,6 @@ class CBufferModel:
         """Total C-Buffer storage (what must fit in cache for fast Binning)."""
         return self.num_buffers * self.line_bytes
 
-    def buffer_ids(self, indices):
-        """C-Buffer (== bin) ID each update lands in."""
-        return self.spec.bins_of(as_index_array(indices))
-
     def occupancy_before(self, indices):
         """Per-update running occupancy of its C-Buffer, pre-insertion.
 
@@ -62,7 +58,7 @@ class CBufferModel:
         """
         indices = as_index_array(indices)
         bins = self.spec.bins_of(indices)
-        order = np.argsort(bins, kind="stable")
+        order = group_order(bins, self.spec.num_bins)
         starts = bin_offsets(np.bincount(bins, minlength=self.spec.num_bins))
         position_sorted = np.arange(len(indices), dtype=np.int64) - starts[
             bins[order]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_index_array, check_positive
-from repro.pb.bins import BinSpec, bin_updates
+from repro.pb.bins import BinSpec, bin_updates, group_order
 
 __all__ = ["PropagationBlocker", "apply_updates_direct"]
 
@@ -106,4 +106,4 @@ class PropagationBlocker:
     def accumulate_order(self, indices):
         """The order Accumulate replays updates in (for trace generation)."""
         bins = self.spec.bins_of(as_index_array(indices))
-        return np.argsort(bins, kind="stable")
+        return group_order(bins, self.spec.num_bins)

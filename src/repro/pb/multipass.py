@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_index_array, check_power_of_two, next_power_of_two
-from repro.pb.bins import BinSpec
+from repro.pb.bins import BinSpec, group_order
 
 __all__ = ["MultiPassPartitioner"]
 
@@ -69,7 +69,7 @@ class MultiPassPartitioner:
             if bits == 0:
                 continue
             keys = (current >> shift) & ((1 << bits) - 1)
-            pass_order = np.argsort(keys, kind="stable")
+            pass_order = group_order(keys, 1 << bits)
             current = current[pass_order]
             order = order[pass_order]
             shift += bits

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_index_array
+from repro.pb.bins import group_order
 
 __all__ = ["group_ranks", "placement_slots"]
 
@@ -22,7 +23,7 @@ def group_ranks(keys, num_groups):
     counts = np.bincount(keys, minlength=num_groups)
     starts = np.zeros(num_groups + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
-    order = np.argsort(keys, kind="stable")
+    order = group_order(keys, num_groups)
     ranks_sorted = np.arange(len(keys), dtype=np.int64) - starts[keys[order]]
     ranks = np.empty(len(keys), dtype=np.int64)
     ranks[order] = ranks_sorted

@@ -22,8 +22,8 @@ import numpy as np
 from repro._util import as_index_array, check_positive
 from repro.core import costs
 from repro.core.config import CobraConfig
-from repro.cpu.branch import BranchSite
-from repro.pb.bins import BinSpec
+from repro.cpu.branch import BRANCH_SAMPLE, BranchSite
+from repro.pb.bins import BinSpec, group_order
 from repro.pb.cbuffer import CBufferModel
 
 __all__ = [
@@ -208,29 +208,72 @@ class Workload:
             )
         ]
 
-    def _init_phase(self, spec: BinSpec, extra_instructions=0):
+    def _init_phase(self, spec: BinSpec, bin_ids=None):
         """Per-bin size precomputation (Table I's Init)."""
         n = self.num_updates
-        bin_ids = spec.bins_of(self.update_indices)
+        if bin_ids is None:
+            bin_ids = spec.bins_of(self.update_indices)
         offsets_region = RegionSpec(
             f"{self.name}.binoffsets", 8, max(spec.num_bins, 1)
         )
         index_bytes = min(self.tuple_bytes, 8) // 2 * 2
         return PhaseSpec(
             name=PHASE_INIT,
-            instructions=(
-                n * costs.INIT_COUNT_INSTRS + 2 * spec.num_bins + extra_instructions
-            ),
+            instructions=n * costs.INIT_COUNT_INSTRS + 2 * spec.num_bins,
             branches=n,
             segments=[Segment(offsets_region, bin_ids, True)],
             streaming_bytes=n * index_bytes,
         )
 
-    def _accumulate_phase(self, spec: BinSpec):
-        """Bin-major replay of the update stream."""
+    def _binning_phase(self, spec: BinSpec, bin_ids=None):
+        """Software Binning: tuples append to per-bin C-Buffers.
+
+        The "buffer full?" outcomes are built for the first
+        ``BRANCH_SAMPLE`` updates only, the prefix the predictor reads: a
+        prefix's C-Buffer occupancy depends on that prefix alone, and the
+        site's ``count`` scales the sampled rate to the whole stream.
+        """
         n = self.num_updates
-        bin_ids = spec.bins_of(self.update_indices)
-        order = np.argsort(bin_ids, kind="stable")
+        if bin_ids is None:
+            bin_ids = spec.bins_of(self.update_indices)
+        cbuffers = CBufferModel(spec, self.tuple_bytes)
+        full_events = cbuffers.full_events(self.update_indices[:BRANCH_SAMPLE])
+        full_lines, partial_lines = cbuffers.transfer_counts(self.update_indices)
+        cbuf_region = RegionSpec(
+            f"{self.name}.cbuffers", 64, max(spec.num_bins, 1)
+        )
+        return PhaseSpec(
+            name=PHASE_BINNING,
+            instructions=(
+                n * costs.PB_BIN_TUPLE_INSTRS
+                + (full_lines + partial_lines)
+                * cbuffers.tuples_per_line
+                * costs.PB_FLUSH_PER_TUPLE_INSTRS
+            ),
+            branches=2 * n,
+            branch_sites=[
+                BranchSite(
+                    "cbuffer_full",
+                    site_pc(self.name, "cbuffer_full"),
+                    full_events,
+                    count=n,
+                )
+            ]
+            + self.extra_branch_sites(PHASE_BINNING),
+            segments=[Segment(cbuf_region, bin_ids, True)],
+            streaming_bytes=n * self.stream_bytes_per_update,
+            nt_write_lines=full_lines + partial_lines,
+        )
+
+    def _accumulate_phase(self, spec: BinSpec, order=None):
+        """Bin-major replay of the update stream.
+
+        ``order`` is the stream's stable grouping by ``spec``'s bins, when
+        the caller has already computed it.
+        """
+        n = self.num_updates
+        if order is None:
+            order = group_order(spec.bins_of(self.update_indices), spec.num_bins)
         segments = [
             Segment(self.data_region, self.update_indices[order], True)
         ] + self.extra_accumulate_segments(order)
@@ -245,39 +288,18 @@ class Workload:
         )
 
     def pb_phases(self, spec: BinSpec, include_init=True):
-        """Software PB: Init, Binning, Accumulate."""
-        n = self.num_updates
-        cbuffers = CBufferModel(spec, self.tuple_bytes)
-        bin_ids = cbuffers.buffer_ids(self.update_indices)
-        full_events = cbuffers.full_events(self.update_indices)
-        full_lines, partial_lines = cbuffers.transfer_counts(self.update_indices)
-        cbuf_region = RegionSpec(
-            f"{self.name}.cbuffers", 64, max(spec.num_bins, 1)
-        )
-        binning = PhaseSpec(
-            name=PHASE_BINNING,
-            instructions=(
-                n * costs.PB_BIN_TUPLE_INSTRS
-                + (full_lines + partial_lines)
-                * cbuffers.tuples_per_line
-                * costs.PB_FLUSH_PER_TUPLE_INSTRS
-            ),
-            branches=2 * n,
-            branch_sites=[
-                BranchSite(
-                    "cbuffer_full",
-                    site_pc(self.name, "cbuffer_full"),
-                    full_events,
-                )
-            ]
-            + self.extra_branch_sites(PHASE_BINNING),
-            segments=[Segment(cbuf_region, bin_ids, True)],
-            streaming_bytes=n * self.stream_bytes_per_update,
-            nt_write_lines=full_lines + partial_lines,
-        )
-        phases = [binning, self._accumulate_phase(spec)]
+        """Software PB: Init, Binning, Accumulate.
+
+        The bin ids are computed once and shared by the phases, and the
+        stream is grouped once, for Accumulate.
+        """
+        bin_ids = spec.bins_of(self.update_indices)
+        phases = [
+            self._binning_phase(spec, bin_ids),
+            self._accumulate_phase(spec, group_order(bin_ids, spec.num_bins)),
+        ]
         if include_init:
-            phases.insert(0, self._init_phase(spec))
+            phases.insert(0, self._init_phase(spec, bin_ids))
         return phases
 
     def cobra_phases(self, cobra: CobraConfig, include_init=True):
@@ -289,9 +311,8 @@ class Workload:
         n = self.num_updates
         spec = cobra.memory_bin_spec
         per_line = cobra.tuples_per_line
-        per_bin = np.bincount(
-            spec.bins_of(self.update_indices), minlength=spec.num_bins
-        )
+        bin_ids = spec.bins_of(self.update_indices)
+        per_bin = np.bincount(bin_ids, minlength=spec.num_bins)
         hw_lines = int(np.sum(-(-per_bin // per_line)))  # ceil per bin
         setup = (
             costs.COBRA_SETUP_BASE_INSTRS
@@ -315,9 +336,12 @@ class Workload:
                 cobra.llc_reserved_ways,
             ),
         )
-        phases = [binning, self._accumulate_phase(spec)]
+        phases = [
+            binning,
+            self._accumulate_phase(spec, group_order(bin_ids, spec.num_bins)),
+        ]
         if include_init:
-            phases.insert(0, self._init_phase(spec))
+            phases.insert(0, self._init_phase(spec, bin_ids))
         return phases
 
     def __repr__(self):

@@ -1,9 +1,12 @@
 """Sampling behaviour of the branch-site simulator."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.cpu import BranchSite, GSharePredictor, simulate_sites
+from repro.cpu.branch import BRANCH_SAMPLE
 
 
 class TestSampling:
@@ -42,3 +45,25 @@ class TestSampling:
         total = simulate_sites([BranchSite("full", 3, outcomes)])
         rate = total / len(outcomes)
         assert 0.05 < rate < 0.25  # near the 1/8 firing probability
+
+    def test_branch_sample_is_the_simulated_default(self):
+        """Workloads build BRANCH_SAMPLE outcomes because that is all the
+        predictor reads; the two must not drift apart."""
+        params = inspect.signature(simulate_sites).parameters
+        assert params["max_simulated"].default == BRANCH_SAMPLE
+
+    def test_sampled_cbuffer_outcomes_match_the_full_stream(self, rng):
+        """A prefix's C-Buffer occupancy depends on that prefix alone, so
+        outcomes built for the sample and scaled by ``count`` give the
+        same total as outcomes built for the whole stream."""
+        from repro.pb import BinSpec, CBufferModel
+
+        n = BRANCH_SAMPLE + 60_000
+        indices = rng.integers(0, 1 << 14, size=n)
+        model = CBufferModel(BinSpec(1 << 14, 64), tuple_bytes=8)
+        full = BranchSite("full", 3, model.full_events(indices))
+        sampled = BranchSite(
+            "full", 3, model.full_events(indices[:BRANCH_SAMPLE]), count=n
+        )
+        assert np.array_equal(sampled.outcomes, full.outcomes[:BRANCH_SAMPLE])
+        assert simulate_sites([sampled]) == simulate_sites([full])

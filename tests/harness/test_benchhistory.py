@@ -129,7 +129,7 @@ class TestMigratedSeedFile:
         path = (
             Path(__file__).resolve().parents[2]
             / "benchmarks"
-            / "results"
+            / "history"
             / "BENCH_compiled_kernels.json"
         )
         history = load_history(path)

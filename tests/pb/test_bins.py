@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pb import BinSpec, bin_counts, bin_offsets, bin_updates
+from repro.pb import BinSpec, bin_counts, bin_offsets, bin_updates, group_order
 
 
 class TestBinSpec:
@@ -53,6 +53,41 @@ class TestBinCounts:
     def test_offsets_exclusive(self):
         offsets = bin_offsets(np.array([2, 0, 3]))
         assert np.array_equal(offsets, [0, 2, 2, 5])
+
+
+class TestGroupOrder:
+    """group_order is exactly the stable argsort it stands in for."""
+
+    GROUP_COUNTS = [1, 2, 256, 257, 1 << 16, (1 << 16) + 1]
+
+    @given(
+        st.sampled_from(GROUP_COUNTS),
+        st.sampled_from([np.int64, np.uint8, np.uint16, np.uint32, np.uint64]),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_stable_argsort(self, num_groups, dtype, data):
+        top = min(num_groups, np.iinfo(dtype).max + 1) - 1
+        raw = data.draw(st.lists(st.integers(0, top), max_size=400))
+        keys = np.array(raw, dtype=dtype)
+        assert np.array_equal(
+            group_order(keys, num_groups), np.argsort(keys, kind="stable")
+        )
+
+    def test_empty_keys(self):
+        assert len(group_order(np.array([], dtype=np.int64), 256)) == 0
+
+    def test_one_group_keeps_stream_order(self):
+        keys = np.zeros(1000, dtype=np.int64)
+        assert np.array_equal(group_order(keys, 1), np.arange(1000))
+
+    @pytest.mark.parametrize("num_groups", GROUP_COUNTS)
+    def test_largest_key_is_not_narrowed_away(self, num_groups):
+        top = num_groups - 1
+        keys = np.array([top, 0, top, top // 2, 0, top], dtype=np.int64)
+        assert np.array_equal(
+            group_order(keys, num_groups), np.argsort(keys, kind="stable")
+        )
 
 
 class TestBinUpdates:
