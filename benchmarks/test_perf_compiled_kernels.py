@@ -14,9 +14,9 @@ Two measurements, recorded in ``benchmarks/history/BENCH_compiled_kernels.json``
    gate), with bit-identical counters.
 2. **DES eviction loop** — the fig13a eviction-buffer study's inner
    simulation, generator engine (``run_reference``, the retained oracle)
-   vs the flat loop (``run``, dispatched through the kernel backends to C
-   when a compiler is present). Acceptance is fig13a wall-clock cut at
-   least in half, i.e. >= 2x here, bit-identical.
+   vs the fast path (``run``, one C call when a compiler is present).
+   Acceptance is fig13a wall-clock cut at least in half, i.e. >= 2x
+   here, bit-identical.
 
 Both comparisons assert exact equality: the backends are
 equivalence-tested, so any drift is a bug, not noise.
@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from repro.cache import BatchHierarchy
-from repro.cache import kernels as kernel_backends
+from repro.cache.kernels import cnative, select_backend
 from repro.des.eviction_model import EvictionBufferModel, EvictionModelConfig
 from repro.harness import Runner
 from repro.harness.inputs import make_workload
@@ -44,8 +44,8 @@ MODES = (BASELINE, PB_SW, PB_SW_IDEAL, COBRA)  # the fig10 mode set
 
 # Reference = the pre-backend pipeline (scalar trace engine, full trace
 # materialization); modern = the repo's defaults (batched engine + the
-# best available kernel tier + chunked assembly). Same machine, same
-# vector branch predictor — only this PR's layers differ.
+# kernel tier select_backend() picks + chunked assembly). Same machine,
+# same vector branch predictor — only engine, tier and chunking differ.
 REF_KWARGS = dict(engine="fast", trace_chunk=0)
 NEW_KWARGS = dict(engine="auto")
 
@@ -71,7 +71,7 @@ def _timed_pipelines(workload, repeats=2):
 
 
 def _des_bench(repeats=3):
-    """The fig13a inner loop: generator oracle vs the flat DES loop.
+    """The fig13a inner loop: generator oracle vs the DES fast path.
 
     Sized like :func:`repro.harness.experiments.fig13.run_eviction_buffers`
     (40k-tuple trace, the paper's tight-loop rates, a shallow FIFO so the
@@ -128,8 +128,10 @@ def test_perf_compiled_kernels(bench_history):
 
     record = {
         "backend": {
-            "selected": kernel_backends.select_backend("auto"),
-            "available": list(kernel_backends.available_backends()),
+            "selected": select_backend(),
+            "available": (
+                ["numpy", "cnative"] if cnative.available() else ["numpy"]
+            ),
         },
         "pipeline": {
             "scale": SCALE,

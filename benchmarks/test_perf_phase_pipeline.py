@@ -31,11 +31,18 @@ import tracemalloc
 
 import numpy as np
 
-from repro.cpu.branch import BimodalPredictor, GSharePredictor
+from repro.cpu.branch import (
+    BRANCH_SAMPLE,
+    BimodalPredictor,
+    GSharePredictor,
+    simulate_sites,
+)
 from repro.harness import Runner
+from repro.harness import runner as runner_module
 from repro.harness.inputs import make_workload
 from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.modes import BASELINE, COBRA, PB_SW, PB_SW_IDEAL
+from repro.harness.runner import DEFAULT_TRACE_CHUNK
 
 BENCH_NAME = "BENCH_phase_pipeline.json"
 
@@ -54,8 +61,31 @@ PIPELINE_MACHINE = dataclasses.replace(
 
 # Reference = the pre-vectorization pipeline; modern = everything this
 # repo now turns on by default.
-REF_CONFIG = dict(env="scalar", kwargs=dict(engine="fast", trace_chunk=0))
-NEW_CONFIG = dict(env="vector", kwargs=dict(engine="auto"))
+REF_CONFIG = dict(scalar_branch=True, kwargs=dict(engine="fast", trace_chunk=0))
+NEW_CONFIG = dict(scalar_branch=False, kwargs=dict(engine="auto"))
+
+
+def _scalar_simulate_sites(sites, predictor=None, max_simulated=BRANCH_SAMPLE):
+    """``simulate_sites`` through the scalar ``predictor.simulate`` loop."""
+    predictor = predictor or GSharePredictor()
+    total = 0.0
+    for site in sites:
+        if len(site.outcomes) == 0:
+            continue
+        sample = site.outcomes[:max_simulated]
+        rate = predictor.simulate(site.pc, sample.tolist()) / len(sample)
+        total += rate * site.count
+    return total
+
+
+def _use_scalar_branch(monkeypatch, scalar):
+    """Route the runner's branch simulation through the scalar oracle
+    (``scalar=True``) or the shipped ``simulate_sites``."""
+    monkeypatch.setattr(
+        runner_module,
+        "simulate_sites",
+        _scalar_simulate_sites if scalar else simulate_sites,
+    )
 
 
 def _best_of(repeats, fn):
@@ -90,7 +120,7 @@ def _predictor_bench(make_predictor, outcomes):
 
 def _run_pipeline(workload, monkeypatch, config):
     """Time one fig10-sized point; returns (seconds, results)."""
-    monkeypatch.setenv("REPRO_BRANCH_BACKEND", config["env"])
+    _use_scalar_branch(monkeypatch, config["scalar_branch"])
     runner = Runner(machine=PIPELINE_MACHINE, **config["kwargs"])
     start = time.perf_counter()
     results = [runner.run(workload, mode, use_cache=False) for mode in MODES]
@@ -117,10 +147,10 @@ def _memory_probe(workload, monkeypatch, trace_chunk):
     """Peak traced bytes of one untimed baseline-mode point.
 
     Both probes run the scalar predictor on the fast engine so the only
-    difference is trace assembly: ``trace_chunk=0`` materializes the whole
-    merged trace, the default streams O(chunk) slices.
+    difference is trace assembly: ``trace_chunk=0`` replays the whole
+    merged trace as one chunk, the default streams O(chunk) slices.
     """
-    monkeypatch.setenv("REPRO_BRANCH_BACKEND", "scalar")
+    _use_scalar_branch(monkeypatch, True)
     runner = Runner(
         machine=PIPELINE_MACHINE, engine="fast", trace_chunk=trace_chunk
     )
@@ -150,7 +180,9 @@ def test_perf_phase_pipeline(monkeypatch, bench_history):
         assert modern == reference  # bit-identical end to end
 
     materialized_peak = _memory_probe(workload, monkeypatch, trace_chunk=0)
-    chunked_peak = _memory_probe(workload, monkeypatch, trace_chunk=None)
+    chunked_peak = _memory_probe(
+        workload, monkeypatch, trace_chunk=DEFAULT_TRACE_CHUNK
+    )
 
     record = {
         "branch_gshare": gshare,

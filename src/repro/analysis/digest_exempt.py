@@ -40,35 +40,9 @@ DIGEST_EXEMPT = {
         "execution strategy: crashed/hung attempts are retried to "
         "bit-identical counters (tests/harness/test_faults.py)"
     ),
-    "Runner.trace_store": (
-        "storage plumbing: stored traces are content-addressed "
-        "materializations served back bit-identical via memory maps "
-        "(tests/harness/test_tracestore.py); counters never change"
-    ),
     "Runner.trace_chunk": (
-        "bit-identical by test across every chunk size, including the "
-        "unchunked reference path (tests/harness/test_chunked_pipeline.py)"
-    ),
-    "REPRO_TRACE_CHUNK": (
-        "all chunk sizes produce bit-identical counters "
-        "(tests/harness/test_chunked_pipeline.py); one cache entry serves "
-        "every setting"
-    ),
-    "REPRO_BRANCH_BACKEND": (
-        "vector and scalar predictor kernels are equivalence-tested to "
-        "identical mispredict totals (tests/cpu/test_branch_vectorized.py)"
-    ),
-    "REPRO_KERNEL_BACKEND": (
-        "kernel tiers (numpy dict kernels vs numba flat kernels) are "
-        "equivalence-tested to bit-identical counters "
-        "(tests/cache/test_kernel_backends.py, tests/des/test_fastloop.py); "
-        "one cache entry serves every tier"
-    ),
-    "REPRO_TRACE_STORE": (
-        "store entries are content-addressed materializations of phase "
-        "traces, bit-identical to recomputation "
-        "(tests/harness/test_tracestore.py); the store only skips "
-        "redundant assembly work"
+        "bit-identical by test across every chunk size, including 0, the "
+        "whole trace as one chunk (tests/harness/test_chunked_pipeline.py)"
     ),
     "REPRO_RESULT_CACHE": (
         "chooses where results are stored, never what they contain; "

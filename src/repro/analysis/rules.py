@@ -16,7 +16,8 @@ earlier PRs established informally:
     allowlisted in :mod:`repro.analysis.digest_exempt` with justification.
 ``knob-registry``
     Every ``REPRO_*`` environment read goes through
-    :mod:`repro.harness.knobs` and is documented in EXPERIMENTS.md.
+    :mod:`repro.harness.knobs` and is documented in EXPERIMENTS.md, and
+    every ``REPRO_*`` row of the EXPERIMENTS.md knob table is registered.
 ``backend-pairing``
     Vector kernels keep their scalar reference path and an equivalence
     test referencing both; compiled-kernel modules (a ``kernels/``
@@ -565,6 +566,33 @@ def check_digest_purity(ctx: LintContext) -> Iterator[Finding]:
 # Rule 3: knob-registry
 # ------------------------------------------------------------------ #
 
+_BACKTICKED = re.compile(r"`([^`]+)`")
+
+#: Header of the EXPERIMENTS.md environment-knob table.
+_KNOB_TABLE_HEADER = re.compile(
+    r"\|\s*variable\s*\|\s*default\s*\|.*\|", re.IGNORECASE
+)
+
+
+def _markdown_table(
+    ctx: LintContext, header: "re.Pattern[str]"
+) -> Iterator[Tuple[int, List[str]]]:
+    """``(lineno, cells)`` for each body row of the first EXPERIMENTS.md
+    table whose header row fully matches ``header``."""
+    in_table = False
+    for lineno, line in enumerate(
+        ctx.experiments_text.splitlines(), start=1
+    ):
+        stripped = line.strip()
+        if not in_table:
+            in_table = header.fullmatch(stripped) is not None
+            continue
+        if not stripped.startswith("|"):
+            return
+        if set(stripped) <= set("|-: "):
+            continue  # the header separator row
+        yield lineno, [cell.strip() for cell in stripped.strip("|").split("|")]
+
 
 def check_knob_registry(ctx: LintContext) -> Iterator[Finding]:
     registry = _registered_knobs(ctx)
@@ -625,6 +653,20 @@ def check_knob_registry(ctx: LintContext) -> Iterator[Finding]:
                 ),
                 hint="add it to the environment-knob table",
             )
+    for lineno, cells in _markdown_table(ctx, _KNOB_TABLE_HEADER):
+        for name in _BACKTICKED.findall(cells[0]):
+            if name.startswith("REPRO_") and name not in registry:
+                yield Finding(
+                    rule="knob-registry",
+                    path="EXPERIMENTS.md",
+                    line=lineno,
+                    message=(
+                        f"documented knob {name!r} is not registered in "
+                        "harness/knobs.py"
+                    ),
+                    hint="remove the stale row, or register the knob it "
+                    "documents",
+                )
 
 
 # ------------------------------------------------------------------ #
@@ -1483,7 +1525,6 @@ _EMIT_METHODS = ("emit", "emit_timed")
 _IMPLICIT_TIMED_FIELDS = frozenset({"duration_s", "seconds"})
 
 _EVENT_TABLE_HEADER = re.compile(r"\|\s*event\s*\|\s*fields\s*\|")
-_BACKTICKED = re.compile(r"`([^`]+)`")
 
 
 def _telemetry_table(ctx: LintContext):
@@ -1495,20 +1536,7 @@ def _telemetry_table(ctx: LintContext):
     to appear among them (a superset check), so extra tokens never flag.
     """
     rows = []
-    in_table = False
-    for lineno, line in enumerate(
-        ctx.experiments_text.splitlines(), start=1
-    ):
-        stripped = line.strip()
-        if not in_table:
-            if _EVENT_TABLE_HEADER.fullmatch(stripped):
-                in_table = True
-            continue
-        if not stripped.startswith("|"):
-            break
-        if set(stripped) <= set("|-: "):
-            continue  # the header separator row
-        cells = [cell.strip() for cell in stripped.strip("|").split("|")]
+    for lineno, cells in _markdown_table(ctx, _EVENT_TABLE_HEADER):
         if len(cells) < 2:
             continue
         events = _BACKTICKED.findall(cells[0])

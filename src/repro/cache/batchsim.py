@@ -44,9 +44,9 @@ asserted by the test suite against both ``FastHierarchy`` and the
 reference ``CacheHierarchy`` for every policy/prefetch/reservation
 combination (``tests/cache/test_kernel_backends.py``).
 
-Kernels come in two interchangeable tiers selected by the
-``REPRO_KERNEL_BACKEND`` knob: pure-Python dict kernels (``numpy``) and
-flat-array kernels compiled with numba when it is installed (``numba``).
+Kernels come in two bit-identical tiers (see :mod:`repro.cache.kernels`):
+flat-array C kernels (``cnative``) whenever the C library builds, else
+pure-Python dict kernels (``numpy``).
 """
 
 from __future__ import annotations
@@ -55,10 +55,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.cache import kernels as kernel_backends
 from repro.cache.config import HierarchyConfig
-from repro.cache.kernels import cnative
-from repro.cache.kernels.njit_kernels import (
+from repro.cache.kernels import cnative, select_backend
+from repro.cache.kernels.cnative import (
     drrip_level_replay_flat,
     lru_level_replay,
     plru_level_replay,
@@ -87,7 +86,7 @@ _SEQ_STRIDE = 4
 
 
 class _FlatLevelState:
-    """Per-level flat arrays backing the ``numba`` kernel tier."""
+    """Per-level flat arrays backing the ``cnative`` kernel tier."""
 
     __slots__ = (
         "way_line",
@@ -128,11 +127,11 @@ class BatchHierarchy:
     calls exactly as FastHierarchy's does across
     :meth:`~FastHierarchy.access` calls.
 
-    ``backend`` selects the kernel tier (``None``/``"auto"`` resolves via
-    the ``REPRO_KERNEL_BACKEND`` knob; see :mod:`repro.cache.kernels`).
+    ``backend`` records the kernel tier :func:`select_backend` chose
+    (``"cnative"`` or ``"numpy"``; see :mod:`repro.cache.kernels`).
     """
 
-    def __init__(self, config: HierarchyConfig, backend=None):
+    def __init__(self, config: HierarchyConfig):
         reason = self.reject_reason(config)
         if reason is not None:
             raise ValueError(
@@ -140,15 +139,13 @@ class BatchHierarchy:
                 f"({reason}); use FastHierarchy"
             )
         self.config = config
-        self.backend = kernel_backends.select_backend(backend)
-        self._flat = self.backend != "numpy"
+        self.backend = select_backend()
         self._native = self.backend == "cnative"
         self._sets = []
         self._ways = []
         self._caps = []  # usable ways (full ways minus reservation)
         self._pol = []
         self._state = []
-        flat = self.backend != "numpy"
         for name in ("l1", "l2", "llc"):
             sets = config.sets(name)
             ways = getattr(config, f"{name}_ways")
@@ -158,7 +155,7 @@ class BatchHierarchy:
             self._ways.append(ways)
             self._caps.append(usable)
             self._pol.append(policy)
-            if flat:
+            if self._native:
                 self._state.append(_FlatLevelState(sets, ways, policy))
             elif policy == _DRRIP:
                 self._state.append(DrripLevelState(sets, ways, usable))
@@ -225,7 +222,7 @@ class BatchHierarchy:
         empty_seq = np.empty(0, dtype=np.int64)
         if not count:
             return np.empty(0, dtype=bool), empty_seq, []
-        if self._flat:
+        if self._native:
             return self._replay_level_flat(level, seq, line, kind)
         policy = self._pol[level]
         if policy == _DRRIP:
@@ -233,7 +230,7 @@ class BatchHierarchy:
         return self._replay_level_sets(level, seq, line, kind)
 
     def _replay_level_flat(self, level, seq, line, kind):
-        """One flat-kernel call over the whole level (``numba`` tier)."""
+        """One C-kernel call over the whole level (``cnative`` tier)."""
         count = line.size
         state = self._state[level]
         set_idx = np.ascontiguousarray(
@@ -247,32 +244,19 @@ class BatchHierarchy:
         usable = self._caps[level]
         policy = self._pol[level]
         if policy == _LRU:
-            kernel = (
-                cnative.lru_level_replay if self._native else lru_level_replay
-            )
-            kernel(
+            lru_level_replay(
                 line, kind, set_idx, ways, usable,
                 state.way_line, state.dirty, state.stamp, state.occ,
                 state.clock, hit, evict_mask, evict_line,
             )
         elif policy == _PLRU:
-            kernel = (
-                cnative.plru_level_replay
-                if self._native
-                else plru_level_replay
-            )
-            kernel(
+            plru_level_replay(
                 line, kind, set_idx, ways, usable,
                 state.way_line, state.dirty, state.mru, state.mru_cnt,
                 state.occ, hit, evict_mask, evict_line,
             )
         else:
-            kernel = (
-                cnative.drrip_level_replay_flat
-                if self._native
-                else drrip_level_replay_flat
-            )
-            kernel(
+            drrip_level_replay_flat(
                 line, kind, set_idx, ways, usable,
                 state.way_line, state.dirty, state.rrpv, state.role,
                 state.occ, state.duel, hit, evict_mask, evict_line,
@@ -373,7 +357,7 @@ class BatchHierarchy:
 
         Eviction seq keys are unique (each cause is a distinct event), so
         pack (seq, index) into one int64 and value-sort — cheaper than
-        argsort's indirection. Flat-tier streams arrive already sorted and
+        argsort's indirection. C-tier streams arrive already sorted and
         pass through the cheap ``key.sort()`` unchanged.
         """
         ev_seq = np.asarray(evict_seq, dtype=np.int64)
@@ -532,7 +516,7 @@ class BatchHierarchy:
         """True when ``line`` is resident at ``level`` (0-indexed)."""
         line = int(line)
         state = self._state[level]
-        if self._flat:
+        if self._native:
             base = self._set_index(level, line) * self._ways[level]
             way_line = state.way_line
             return any(

@@ -1,146 +1,33 @@
-"""Pluggable compiled-kernel backends for the batched cache engine.
+"""Kernel tiers for the batched cache engine.
 
-The batched simulators (:class:`~repro.cache.batchsim.BatchHierarchy`, the
-DES fast loop in :mod:`repro.des.fastloop`) run their hot loops through one
-of three interchangeable kernel tiers:
+The batched simulator (:class:`~repro.cache.batchsim.BatchHierarchy`) runs
+its hot loops through one of two tiers, both equivalence-tested to
+bit-identical counters against the scalar oracle
+:class:`~repro.cache.fastsim.FastHierarchy`:
 
-``numpy``
-    Pure-Python/NumPy kernels: per-set dict replay loops
-    (:mod:`repro.cache.kernels.setreplay`) plus vectorized stream merging.
-    Always available; this is the reference-compatible default.
-``numba``
-    The same kernels written against flat arrays and compiled with
-    ``numba.njit`` (:mod:`repro.cache.kernels.njit_kernels`). Selected
-    automatically when numba is importable; produces bit-identical
-    counters (the equivalence suite runs the flat kernels as plain Python
-    when numba is absent, so the logic is tested either way).
 ``cnative``
-    The flat kernels as one C translation unit, compiled on first use
+    Flat-array kernels as one C translation unit, compiled on first use
     with the system C compiler and bound through ``ctypes``
-    (:mod:`repro.cache.kernels.cnative`). Selected automatically when
-    numba is absent but a compiler is present — the common CI/container
-    case — and produces bit-identical counters.
+    (:mod:`repro.cache.kernels.cnative`). The fast path.
+``numpy``
+    Per-set dict replay loops (:mod:`repro.cache.kernels.setreplay`) plus
+    vectorized stream merging. The tier used when no C compiler is
+    present.
 
-Selection goes through the registered ``REPRO_KERNEL_BACKEND`` knob
-(``auto`` | ``numpy`` | ``numba`` | ``cnative``); ``auto`` resolves to the
-fastest available tier (numba, then cnative, then numpy). The backends are
-equivalence-tested to identical counters, so the knob stays out of
-result-cache digests.
+The tier is not a setting: :func:`select_backend` picks ``cnative``
+whenever the C library builds and loads, else ``numpy``. Because the
+tiers are bit-identical, the choice stays out of result-cache digests.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from repro.cache.kernels import cnative
 
-__all__ = [
-    "BACKENDS",
-    "KERNEL_BACKEND_KNOB",
-    "available_backends",
-    "cnative_available",
-    "numba_available",
-    "maybe_jit",
-    "select_backend",
-]
-
-KERNEL_BACKEND_KNOB = "REPRO_KERNEL_BACKEND"
-
-#: Recognized backend names (``auto`` resolves to a concrete tier).
-BACKENDS = ("auto", "numpy", "numba", "cnative")
-
-#: Internal testing tier: the flat ``numba`` kernels run as plain Python.
-#: Not accepted from the knob — the equivalence suite uses it to exercise
-#: the flat-kernel logic on numba-free environments.
-FLAT_PYTHON = "flat-python"
-
-_NUMBA_AVAILABLE: Optional[bool] = None
+__all__ = ["select_backend"]
 
 
-def numba_available() -> bool:
-    """True when ``numba`` is importable (checked once, then cached)."""
-    global _NUMBA_AVAILABLE
-    if _NUMBA_AVAILABLE is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_AVAILABLE = True
-        except Exception:
-            _NUMBA_AVAILABLE = False
-    return _NUMBA_AVAILABLE
-
-
-def cnative_available() -> bool:
-    """True when the C kernel tier compiled and loaded (see ``cnative``)."""
-    from repro.cache.kernels import cnative
-
-    return cnative.available()
-
-
-def available_backends() -> tuple[str, ...]:
-    """The concrete backends usable in this environment."""
-    tiers = ["numpy"]
-    if numba_available():
-        tiers.append("numba")
-    if cnative_available():
-        tiers.append("cnative")
-    return tuple(tiers)
-
-
-def select_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend request to a concrete tier name.
-
-    ``None`` or ``"auto"`` reads the ``REPRO_KERNEL_BACKEND`` knob (itself
-    defaulting to ``auto``) and picks the fastest available tier:
-    ``numba`` when importable, else ``cnative`` when a C compiler is
-    present, else ``numpy``. An explicit ``"numba"``/``"cnative"`` whose
-    prerequisite is missing is an error rather than a silent downgrade —
-    the caller asked for a specific tier and should know it is missing.
-    """
-    from_knob = False
-    if name is None or name == "auto":
-        from repro.harness import knobs
-
-        env = knobs.read(KERNEL_BACKEND_KNOB)
-        name = env if env else "auto"
-        from_knob = env is not None
-    if name == FLAT_PYTHON and not from_knob:
-        return name  # testing tier, accepted only as an explicit argument
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of {BACKENDS}"
-        )
-    if name == "auto":
-        if numba_available():
-            return "numba"
-        if cnative_available():
-            return "cnative"
-        return "numpy"
-    if name == "numba" and not numba_available():
-        raise RuntimeError(
-            "REPRO_KERNEL_BACKEND=numba requested but numba is not "
-            "installed; use 'auto' (falls back to the best available "
-            "tier) or install numba"
-        )
-    if name == "cnative" and not cnative_available():
-        from repro.cache.kernels import cnative
-
-        raise RuntimeError(
-            "REPRO_KERNEL_BACKEND=cnative requested but the C kernel "
-            f"tier is unavailable ({cnative.build_error()}); use 'auto' "
-            "(falls back to the best available tier)"
-        )
-    return name
-
-
-def maybe_jit(func):
-    """``numba.njit(cache=True)`` when numba is present, else identity.
-
-    Applied at import time by the flat-kernel modules: with numba the
-    functions compile to machine code; without it they stay plain Python
-    (slow but semantically identical), which is what lets the equivalence
-    suite exercise the flat-kernel logic on numba-free environments.
-    """
-    if numba_available():
-        import numba
-
-        return numba.njit(cache=True)(func)
-    return func
+def select_backend() -> str:
+    """The kernel tier this process runs: ``"cnative"`` when the C
+    library builds and loads (building it on first call), else
+    ``"numpy"``."""
+    return "cnative" if cnative.available() else "numpy"

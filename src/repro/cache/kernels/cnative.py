@@ -1,19 +1,19 @@
 """Native C replay kernels built with the system compiler (``cnative``).
 
-Environments without numba usually still have a C toolchain, so the flat
-kernels of :mod:`repro.cache.kernels.njit_kernels` are mirrored here as a
-single C translation unit, compiled once with ``cc -O2 -shared`` into a
-content-addressed shared object (keyed by the SHA-256 of the source, so a
-kernel change rebuilds and an unchanged source reuses the cached build),
-and bound through :mod:`ctypes`. No third-party packages, no setuptools —
-just the compiler.
+The batched cache engine's flat-array kernels and the eviction-buffer DES
+live here as a single C translation unit, compiled once with
+``cc -O2 -shared`` into a content-addressed shared object (keyed by the
+SHA-256 of the source, so a kernel change rebuilds and an unchanged source
+reuses the cached build), and bound through :mod:`ctypes`. No third-party
+packages, no setuptools — just the compiler.
 
-Semantics are line-for-line the flat Python/numba kernels' (same state
-layout, same scan order); the equivalence suite replays identical traces
-through all tiers and asserts bit-identical counters
-(``tests/cache/test_kernel_backends.py``). :func:`available` gates the
-tier: no compiler, a failed build, or an unloadable object all report
-``False`` and selection falls back to the ``numpy`` tier.
+The cache kernels are equivalence-tested to bit-identical counters against
+the scalar oracle :class:`~repro.cache.fastsim.FastHierarchy`
+(``tests/cache/test_kernel_backends.py``), and the DES against the
+generator-engine oracle (``tests/des/test_fastloop.py``). :func:`available`
+gates the tier: no compiler, a failed build, or an unloadable object all
+report ``False``, and callers fall back to the ``numpy`` tier (cache) or
+the generator oracle (DES).
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ int64_t prefetch_scan_native(
     return out;
 }
 
-/* Eviction-pipeline DES (repro.des.fastloop) as one C call. Replays the
+/* Eviction-pipeline DES (repro.des.eviction_model) as one C call. Replays the
    exact schedule of repro.des.engine.Simulator: four processes (core,
    two binning engines, memory writer), three SPSC FIFOs, events ordered
    by (time, seq) with one global sequence number per schedule call, a
@@ -779,12 +779,13 @@ def prefetch_scan_native(prefetcher, miss_seq, miss_lines):
 
 
 def eviction_pipeline_native(trace, cfg):
-    """Native twin of :func:`repro.des.fastloop.simulate_eviction_pipeline`.
+    """Native twin of :meth:`EvictionBufferModel.run_reference
+    <repro.des.eviction_model.EvictionBufferModel.run_reference>`.
 
-    Runs the whole DES in one C call. Returns the same
-    ``(total, stall, evictions, max_occ)`` tuple, or ``None`` when the C
-    run could not allocate its arena — the caller then falls back to the
-    Python loop.
+    Runs the whole DES in one C call. Returns ``(total, stall, evictions,
+    max_occ)`` where ``evictions`` is ``[l1, l2, llc]`` and ``max_occ`` is
+    ``[l1_evict, l2_evict, mem]``, or ``None`` when the C run could not
+    allocate its arena — the caller then falls back to the oracle.
     """
     trace = np.ascontiguousarray(trace, dtype=np.int64)
     out_f = np.zeros(2, dtype=np.float64)

@@ -31,8 +31,8 @@ Each kernel returns the positions that *missed* (for probes: that were not
 resident); dirty evictions are appended to the caller's ``evict_pos`` /
 ``evict_line`` lists as they fire.
 
-The flat-array twins compiled by the ``numba`` tier live in
-:mod:`repro.cache.kernels.njit_kernels`; equivalence between the tiers (and
+The flat-array C twins of the ``cnative`` tier live in
+:mod:`repro.cache.kernels.cnative`; equivalence between the tiers (and
 against :class:`~repro.cache.fastsim.FastHierarchy` and the reference
 hierarchy) is asserted by ``tests/cache/test_kernel_backends.py``.
 """

@@ -21,13 +21,8 @@ __all__ = [
     "GSharePredictor",
     "BranchSite",
     "simulate_sites",
-    "BRANCH_BACKENDS",
     "BRANCH_SAMPLE",
 ]
-
-BRANCH_BACKENDS = ("vector", "scalar")
-
-_BACKEND_ENV = "REPRO_BRANCH_BACKEND"
 
 #: Outcomes per branch site that reach the predictor. Longer streams are
 #: simulated on this prefix and their misprediction rate scaled to the
@@ -359,34 +354,17 @@ class BranchSite:
             raise ValueError("count cannot be below the sampled outcome length")
 
 
-def branch_backend(backend=None):
-    """Resolve the predictor backend: argument, env knob, or ``vector``."""
-    # Imported lazily: repro.harness pulls in the runner, which imports
-    # this module (registry reads must still go through the knob registry).
-    from repro.harness import knobs
-
-    backend = backend or knobs.read(_BACKEND_ENV) or "vector"
-    if backend not in BRANCH_BACKENDS:
-        raise ValueError(
-            f"unknown branch backend {backend!r}; valid backends: "
-            + ", ".join(BRANCH_BACKENDS)
-        )
-    return backend
-
-
-def simulate_sites(sites, predictor=None, max_simulated=BRANCH_SAMPLE, backend=None):
+def simulate_sites(sites, predictor=None, max_simulated=BRANCH_SAMPLE):
     """Total (scaled) mispredictions across branch sites.
 
     Simulates up to ``max_simulated`` outcomes per site through a shared
     predictor (default GShare) and scales the observed misprediction rate
-    to the site's full dynamic count.  ``backend`` selects the vectorized
-    kernel (``"vector"``, the default) or the scalar reference loop
-    (``"scalar"``); both produce bit-identical totals.  The default can be
-    overridden with the ``REPRO_BRANCH_BACKEND`` environment variable.
+    to the site's full dynamic count. Uses the predictor's vectorized
+    ``simulate_array`` when it has one, else its scalar ``simulate`` loop
+    (the oracle ``simulate_array`` is equivalence-tested against).
     """
-    backend = branch_backend(backend)
     predictor = predictor or GSharePredictor()
-    vectorized = backend == "vector" and hasattr(predictor, "simulate_array")
+    vectorized = hasattr(predictor, "simulate_array")
     total = 0.0
     for site in sites:
         outcomes = site.outcomes

@@ -9,12 +9,13 @@ evict into a full L1→L2 FIFO — the quantity Figure 13a reports as a
 function of FIFO size. Unlike the Little's-law estimate, the DES consumes a
 real tuple trace, so input-specific eviction bursts are captured.
 
-:meth:`EvictionBufferModel.run` executes the flattened event loop
-(:mod:`repro.des.fastloop`), which replays the identical schedule without
-generator/heap machinery. The original generator-engine formulation is
-retained verbatim as :meth:`EvictionBufferModel.run_reference` — it is the
-readable statement of the model and the oracle the fast loop is
-bit-identity-tested against (``tests/des/test_fastloop.py``).
+:meth:`EvictionBufferModel.run` replays the identical schedule as one C
+call (:func:`~repro.cache.kernels.cnative.eviction_pipeline_native`),
+without generator/heap machinery. The generator-engine formulation,
+:meth:`EvictionBufferModel.run_reference`, is the readable statement of the
+model, the oracle the C loop is bit-identity-tested against
+(``tests/des/test_fastloop.py``), and the path ``run`` takes when no C
+compiler is available.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro._util import as_index_array, check_positive
-from repro.des import fastloop
+from repro.cache.kernels import cnative
 from repro.des.engine import Queue, Simulator, Timeout
 
 __all__ = ["EvictionModelConfig", "EvictionModelResult", "EvictionBufferModel"]
@@ -88,17 +89,22 @@ class EvictionBufferModel:
     def run(self, indices) -> EvictionModelResult:
         """Simulate binning the given tuple ``indices`` (1-D int array).
 
-        Runs the flattened event loop; bit-identical to
-        :meth:`run_reference` by construction and by test.
+        Runs the C loop; falls back to :meth:`run_reference` when the C
+        tier is unavailable or cannot allocate its arena. Both paths are
+        bit-identical by test.
         """
         cfg = self.config
         indices = as_index_array(indices)
         if len(indices) and indices.max() >= cfg.num_indices:
             raise ValueError("trace contains indices beyond num_indices")
-
-        total, stall, evictions, max_occ = fastloop.simulate_eviction_pipeline(
-            indices, cfg
+        native = (
+            cnative.eviction_pipeline_native(indices, cfg)
+            if cnative.available()
+            else None
         )
+        if native is None:
+            return self.run_reference(indices)
+        total, stall, evictions, max_occ = native
         return EvictionModelResult(
             total_cycles=total,
             core_stall_cycles=stall,
@@ -116,7 +122,7 @@ class EvictionBufferModel:
         )
 
     def run_reference(self, indices) -> EvictionModelResult:
-        """Generator-engine oracle for :meth:`run` (original formulation)."""
+        """Generator-engine oracle for :meth:`run` (and its no-compiler path)."""
         cfg = self.config
         indices = as_index_array(indices)
         if len(indices) and indices.max() >= cfg.num_indices:

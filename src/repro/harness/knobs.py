@@ -58,46 +58,6 @@ KNOBS: Mapping[str, Knob] = {
     knob.name: knob
     for knob in (
         _knob(
-            "REPRO_TRACE_CHUNK",
-            "262144",
-            "Trace-assembly chunk size in irregular accesses; 0 "
-            "materializes full traces (the reference path).",
-            "all chunk sizes produce bit-identical counters "
-            "(tests/harness/test_chunked_pipeline.py), so one cache entry "
-            "serves every setting",
-        ),
-        _knob(
-            "REPRO_BRANCH_BACKEND",
-            "vector",
-            "Branch-predictor kernel: 'vector' (NumPy LUT-scan) or "
-            "'scalar' (the reference loop).",
-            "backends are equivalence-tested to identical mispredict "
-            "totals (tests/cpu/test_branch_vectorized.py)",
-        ),
-        _knob(
-            "REPRO_KERNEL_BACKEND",
-            "auto",
-            "Compiled-kernel tier for the batched cache engine and the DES "
-            "fast loop: 'auto' (numba, else cnative when a C compiler is "
-            "present, else numpy), 'numpy', 'numba', or 'cnative' (explicit "
-            "tiers error when their prerequisite is missing).",
-            "kernel tiers are equivalence-tested to bit-identical counters "
-            "(tests/cache/test_kernel_backends.py, "
-            "tests/des/test_fastloop.py), so one cache entry serves every "
-            "tier",
-        ),
-        _knob(
-            "REPRO_TRACE_STORE",
-            None,
-            "Memory-mapped trace store: unset disables it, '1' enables it "
-            "at the default directory (a 'traces' subdirectory of the "
-            "result cache), any other value is the store directory.",
-            "store entries are content-addressed materializations of "
-            "phase traces, bit-identical to recomputation "
-            "(tests/harness/test_tracestore.py); the store only skips "
-            "redundant assembly work",
-        ),
-        _knob(
             "REPRO_RESULT_CACHE",
             None,
             "Result-cache directory override (default: the in-repo "

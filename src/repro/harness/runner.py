@@ -27,19 +27,16 @@ from repro.core.comm import CobraCommMachine
 from repro.cpu.branch import GSharePredictor, simulate_sites
 from repro.cpu.timing import TimingModel
 from repro.des.eviction_model import EvictionBufferModel, EvictionModelConfig
-from repro.harness import knobs, modes
+from repro.harness import modes
 from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.resultcache import run_digest
 from repro.harness.telemetry import NULL_TELEMETRY
-from repro.harness.tracestore import TRACE_STORE_KNOB, resolve_store
 from repro.pb.planner import plan_bins
 from repro.workloads.base import PhaseSpec
 
 __all__ = ["Runner", "DEFAULT_TRACE_CHUNK"]
 
 _ENGINES = ("auto", "fast", "batch")
-
-_TRACE_CHUNK_ENV = "REPRO_TRACE_CHUNK"
 
 #: Default irregular accesses per streamed trace chunk. Merged traces
 #: (irregular accesses plus injected streaming lines) are built and
@@ -65,19 +62,9 @@ class Runner:
     figure suites and resumed sweeps skip completed simulations.
 
     ``trace_chunk`` bounds how many irregular accesses each streamed trace
-    chunk carries (``None`` reads the ``REPRO_TRACE_CHUNK`` environment
-    variable, falling back to :data:`DEFAULT_TRACE_CHUNK`; ``0`` disables
-    chunking and materializes full traces, the reference path). The chunked
-    and full pipelines produce bit-identical counters, so the knob is not
-    part of the result-cache digest.
-
-    ``trace_store`` (a :class:`~repro.harness.tracestore.TraceStore`, a
-    directory path, or ``"1"`` for the default location; ``None`` reads
-    the ``REPRO_TRACE_STORE`` knob, unset disables it) materializes each
-    phase's interleaved trace once on disk and replays it through
-    read-only memory maps, so parallel sweep workers share one physical
-    copy per trace instead of each building its own. Stored traces are
-    content-addressed and bit-identical to in-memory materialization.
+    chunk carries (default :data:`DEFAULT_TRACE_CHUNK`; ``0`` replays the
+    whole trace as one chunk). Every chunk size produces bit-identical
+    counters, so it is not part of the result-cache digest.
 
     ``telemetry`` (a :class:`~repro.harness.telemetry.Telemetry`) records
     engine selections, per-phase simulation wall-clock, and — propagated to
@@ -98,11 +85,12 @@ class Runner:
         result_cache=None,
         telemetry=None,
         fault_policy=None,
-        trace_chunk=None,
-        trace_store=None,
+        trace_chunk=DEFAULT_TRACE_CHUNK,
     ):
         if engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+        if trace_chunk < 0:
+            raise ValueError(f"trace_chunk must be >= 0, got {trace_chunk!r}")
         if engine == "batch":
             reason = BatchHierarchy.reject_reason(machine.hierarchy)
             if reason is not None:
@@ -117,9 +105,6 @@ class Runner:
         self.comm_sample = comm_sample
         self.engine = engine
         self.trace_chunk = trace_chunk
-        if trace_store is None:
-            trace_store = knobs.read(TRACE_STORE_KNOB)
-        self.trace_store = resolve_store(trace_store)
         self.result_cache = result_cache
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.fault_policy = fault_policy
@@ -339,11 +324,6 @@ class Runner:
             "comm_sample": self.comm_sample,
             "engine": self.engine,
             "trace_chunk": self.trace_chunk,
-            "trace_store_dir": (
-                str(self.trace_store.directory)
-                if self.trace_store is not None
-                else None
-            ),
             "cache_dir": (
                 str(self.result_cache.directory)
                 if self.result_cache is not None
@@ -365,13 +345,11 @@ class Runner:
         spec = dict(spec)
         cache_dir = spec.pop("cache_dir", None)
         telemetry_path = spec.pop("telemetry_path", None)
-        trace_store_dir = spec.pop("trace_store_dir", None)
         telemetry = JsonlTelemetry(telemetry_path) if telemetry_path else None
         result_cache = ResultCache(cache_dir) if cache_dir else None
         return cls(
             result_cache=result_cache,
             telemetry=telemetry,
-            trace_store=trace_store_dir,
             **spec,
         )
 
@@ -509,25 +487,12 @@ class Runner:
                 machine.hierarchy.with_reserved(*reserved)
             )
             engine = "batch" if isinstance(hierarchy, BatchHierarchy) else "fast"
-            stream_lines_total = phase.streaming_bytes // line_bytes
-            chunk = self.trace_chunk_size()
-            if chunk:
-                if self.trace_store is not None:
-                    lines, writes = self.trace_store.materialize(arrays, flags)
-                    chunks = _sliced_chunks(lines, writes, len(arrays), chunk)
-                else:
-                    chunks = self._iter_trace_chunks(arrays, flags, chunk)
-                irregular, streaming = self._simulate_chunked(
-                    hierarchy, chunks, stream_lines_total, total_events
-                )
-            else:
-                if self.trace_store is not None:
-                    lines, writes = self.trace_store.materialize(arrays, flags)
-                else:
-                    lines, writes = _materialize_trace(arrays, flags)
-                irregular, streaming = self._simulate_interleaved(
-                    hierarchy, lines, writes, stream_lines_total, total_events
-                )
+            irregular, streaming = self._simulate_chunked(
+                hierarchy,
+                self._iter_trace_chunks(arrays, flags, self.trace_chunk),
+                phase.streaming_bytes // line_bytes,
+                total_events,
+            )
             irregular = _scaled(irregular, scale)
             streaming = _scaled(streaming, scale)
             if phase.coalesced_discount:
@@ -610,15 +575,6 @@ class Runner:
             self.telemetry.emit("engine_selected", engine="fast")
         return FastHierarchy(config)
 
-    def trace_chunk_size(self):
-        """Irregular accesses per streamed chunk (0 = full materialization)."""
-        if self.trace_chunk is not None:
-            return int(self.trace_chunk)
-        env = knobs.read(_TRACE_CHUNK_ENV)
-        if env is not None:
-            return int(env)
-        return DEFAULT_TRACE_CHUNK
-
     def _trace_segments(self, phase, line_bytes):
         """Per-segment line arrays + write flags, sampled to the budget.
 
@@ -657,8 +613,12 @@ class Runner:
 
         Chunk boundaries fall on whole interleave rounds (one access per
         segment), so concatenating the chunks reproduces
-        :func:`_materialize_trace` exactly.
+        :func:`_materialize_trace` exactly; ``chunk=0`` yields that whole
+        trace as one chunk.
         """
+        if not chunk:
+            yield _materialize_trace(arrays, flags)
+            return
         width = len(arrays)
         if width == 1:
             lines = np.ascontiguousarray(arrays[0], dtype=np.int64)
@@ -708,17 +668,11 @@ class Runner:
         )
         return merged_lines, merged_writes, is_stream
 
-    def _interleaved_trace(self, lines, writes, stream_lines, total_events):
-        """Merge irregular accesses with uniformly injected stream lines."""
-        return self._merge_chunk(lines, writes, stream_lines, total_events, 0)
-
     def _simulate_chunked(self, hierarchy, chunks, stream_lines, total_events):
         """Stream trace chunks through the hierarchy; O(chunk) peak memory.
 
-        ``chunks`` yields ``(lines, writes)`` pairs — from
-        :meth:`_iter_trace_chunks` (in-memory assembly) or from
-        :func:`_sliced_chunks` over a store-mapped trace; both cut on the
-        same interleave-round boundaries. Hierarchy state persists across
+        ``chunks`` yields ``(lines, writes)`` pairs from
+        :meth:`_iter_trace_chunks`. Hierarchy state persists across
         ``simulate``/``access`` calls, so per-chunk replay of the sliced
         merged trace is bit-identical to one full-trace replay.
         """
@@ -759,43 +713,6 @@ class Runner:
             ),
         )
 
-    def _simulate_interleaved(
-        self, hierarchy, lines, writes, stream_lines, total_events
-    ):
-        """Replay the merged trace; split counts into irregular/streaming."""
-        merged_lines, merged_writes, is_stream = self._interleaved_trace(
-            lines, writes, stream_lines, total_events
-        )
-        if isinstance(hierarchy, BatchHierarchy):
-            served = hierarchy.simulate(merged_lines, merged_writes)
-            irregular = np.bincount(served[~is_stream], minlength=5)
-            streaming = np.bincount(served[is_stream], minlength=5)
-        else:
-            irregular = [0, 0, 0, 0, 0]
-            streaming = [0, 0, 0, 0, 0]
-            access = hierarchy.access
-            for line, is_write, stream in zip(
-                merged_lines.tolist(),
-                merged_writes.tolist(),
-                is_stream.tolist(),
-            ):
-                bucket = streaming if stream else irregular
-                bucket[access(line, is_write)] += 1
-        return (
-            ServiceCounts(
-                int(irregular[1]),
-                int(irregular[2]),
-                int(irregular[3]),
-                int(irregular[4]),
-            ),
-            ServiceCounts(
-                int(streaming[1]),
-                int(streaming[2]),
-                int(streaming[3]),
-                int(streaming[4]),
-            ),
-        )
-
     def _eviction_stall_fraction(self, trace, des_config):
         # Memoized by *content*: the sampled trace bytes plus every DES
         # input. An id(trace) key would alias distinct traces once the
@@ -811,19 +728,6 @@ class Runner:
         result = EvictionBufferModel(des_config).run(sample)
         self._cache[key] = result.stall_fraction
         return result.stall_fraction
-
-
-def _sliced_chunks(lines, writes, width, chunk):
-    """Yield chunk views of a materialized (possibly mmap'd) trace.
-
-    Boundaries match :meth:`Runner._iter_trace_chunks` exactly: whole
-    interleave rounds of ``width`` accesses, ``max(1, chunk // width)``
-    rounds per chunk — so the two chunk sources replay identically. Views
-    into a memory-mapped trace stay zero-copy until the stream merge.
-    """
-    step = chunk if width == 1 else max(1, chunk // width) * width
-    for start in range(0, len(lines), step):
-        yield lines[start : start + step], writes[start : start + step]
 
 
 def _materialize_trace(arrays, flags):

@@ -240,6 +240,25 @@ class TestKnobRegistry:
         assert findings[0].path == "src/repro/harness/knobs.py"
         assert "not documented in EXPERIMENTS.md" in findings[0].message
 
+    def test_documented_but_unregistered_flagged(self, mini_tree):
+        # The reverse direction: a knob-table row outliving its knob.
+        root = mini_tree(
+            {"src/repro/harness/knobs.py": KNOBS_MODULE},
+            experiments=(
+                "# knobs\n"
+                "\n"
+                "| Variable | Default | Effect |\n"
+                "|---|---|---|\n"
+                "| `REPRO_FIXTURE_KNOB` | unset | fixture knob |\n"
+                "| `REPRO_RETIRED_KNOB` | `0` | removed long ago |\n"
+            ),
+        )
+        findings = lint_findings(root, "knob-registry")
+        assert len(findings) == 1
+        assert findings[0].path == "EXPERIMENTS.md"
+        assert findings[0].line == 6
+        assert "'REPRO_RETIRED_KNOB' is not registered" in findings[0].message
+
     def test_subscript_environ_read_flagged(self, mini_tree):
         root = mini_tree(
             {
@@ -432,7 +451,7 @@ class TestCompiledKernelPairing:
 
     def test_self_declared_oracle_enforced_outside_kernels(self, mini_tree):
         """A module that declares SCALAR_ORACLE opts into the contract
-        even without jit decorators (the DES fast loop's shape)."""
+        even without jit decorators (a standalone fast-path module)."""
         root = mini_tree({"src/repro/des/flat.py": ORACLE_KERNEL})
         findings = lint_findings(root, "backend-pairing")
         assert len(findings) == 1

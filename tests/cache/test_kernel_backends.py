@@ -1,16 +1,19 @@
-"""Equivalence of every kernel backend tier on every batched cache mode.
+"""Equivalence of both kernel tiers on every batched cache mode.
 
-The batched engine (:class:`BatchHierarchy`) now covers the three modes
-the original implementation rejected — DRRIP set-dueling, LLC-gated
-prefetch fills, and reserved-ways masking — through interchangeable
-kernel tiers (``numpy`` dict kernels, the flat kernels as plain Python,
-``cnative`` C, and ``numba`` when installed). Any divergence between any
-tier and the scalar :class:`FastHierarchy` (itself equivalence-tested
-against the reference object model) is a bug; these tests require
-bit-identical statistics across all of them, including the prefetcher's
-internal stream table after chunked replays.
+The batched engine (:class:`BatchHierarchy`) covers the three modes the
+original implementation rejected — DRRIP set-dueling, LLC-gated prefetch
+fills, and reserved-ways masking — through two kernel tiers: ``cnative``
+C kernels whenever the C library builds, else ``numpy`` dict kernels.
+Any divergence between either tier and the scalar :class:`FastHierarchy`
+oracle (itself equivalence-tested against the reference object model) is
+a bug; these tests require bit-identical statistics from both, including
+the prefetcher's internal stream table after chunked replays. The
+``numpy`` tier is forced by hiding the C library
+(``cnative.available`` reporting ``False``), exactly as on a machine
+without a compiler.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -19,21 +22,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import BatchHierarchy, FastHierarchy, HierarchyConfig
-from repro.cache import kernels as kernel_backends
-from repro.cache.kernels import cnative
+from repro.cache.kernels import cnative, select_backend
 from repro.harness.machine import DEFAULT_MACHINE
 
-
-def _tiers():
-    tiers = ["numpy", kernel_backends.FLAT_PYTHON]
-    if kernel_backends.cnative_available():
-        tiers.append("cnative")
-    if kernel_backends.numba_available():
-        tiers.append("numba")
-    return tiers
+TIERS = ["numpy", "cnative"] if cnative.available() else ["numpy"]
 
 
-TIERS = _tiers()
+@contextlib.contextmanager
+def kernel_tier(tier):
+    """Build hierarchies on ``tier``: ``numpy`` hides the C library."""
+    with pytest.MonkeyPatch.context() as patch:
+        if tier == "numpy":
+            patch.setattr(cnative, "available", lambda: False)
+        yield
+
 
 #: One config per previously-unbatchable mode, plus their combination
 #: (the default machine hierarchy uses all three at once).
@@ -67,7 +69,9 @@ def assert_tier_equivalent(config, lines, writes, tiers=None):
     fast = FastHierarchy(config)
     fast_counts = fast.run_trace(lines.tolist(), writes.tolist())
     for tier in tiers or TIERS:
-        batch = BatchHierarchy(config, backend=tier)
+        with kernel_tier(tier):
+            batch = BatchHierarchy(config)
+        assert batch.backend == tier
         counts = batch.run_trace(lines, writes)
         label = f"backend={tier}"
         assert counts == fast_counts, label
@@ -122,7 +126,8 @@ def test_stateful_across_chunks(tier):
     config = MODES["all-three"]
     rng = np.random.default_rng(3)
     fast = FastHierarchy(config)
-    batch = BatchHierarchy(config, backend=tier)
+    with kernel_tier(tier):
+        batch = BatchHierarchy(config)
     for _ in range(4):
         mixed = np.concatenate([
             rng.integers(0, 2000, size=2_000),
@@ -218,45 +223,18 @@ class TestFigureConfigsBatchable:
 
 
 class TestBackendSelection:
-    def test_auto_prefers_compiled_tier(self, monkeypatch):
-        monkeypatch.delenv(kernel_backends.KERNEL_BACKEND_KNOB, raising=False)
-        resolved = kernel_backends.select_backend("auto")
-        if kernel_backends.numba_available():
-            assert resolved == "numba"
-        elif kernel_backends.cnative_available():
-            assert resolved == "cnative"
-        else:
-            assert resolved == "numpy"
+    def test_auto_prefers_compiled_tier(self):
+        expected = "cnative" if cnative.available() else "numpy"
+        assert select_backend() == expected
+        assert BatchHierarchy(MODES["drrip"]).backend == expected
 
-    def test_numpy_always_available(self):
-        assert kernel_backends.select_backend("numpy") == "numpy"
-        assert "numpy" in kernel_backends.available_backends()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernel_backends.select_backend("fortran")
-
-    def test_missing_explicit_tier_errors(self):
-        if not kernel_backends.numba_available():
-            with pytest.raises(RuntimeError, match="numba"):
-                kernel_backends.select_backend("numba")
-        if not kernel_backends.cnative_available():
-            with pytest.raises(RuntimeError, match="cnative"):
-                kernel_backends.select_backend("cnative")
-
-    def test_knob_read_through_registry(self, monkeypatch):
-        monkeypatch.setenv(kernel_backends.KERNEL_BACKEND_KNOB, "numpy")
-        assert kernel_backends.select_backend(None) == "numpy"
-
-    def test_flat_python_not_knob_selectable(self, monkeypatch):
-        monkeypatch.setenv(
-            kernel_backends.KERNEL_BACKEND_KNOB, kernel_backends.FLAT_PYTHON
-        )
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernel_backends.select_backend(None)
+    def test_numpy_always_available(self, monkeypatch):
+        monkeypatch.setattr(cnative, "available", lambda: False)
+        assert select_backend() == "numpy"
+        assert BatchHierarchy(MODES["drrip"]).backend == "numpy"
 
     def test_cnative_build_is_cached(self):
-        if not kernel_backends.cnative_available():
+        if not cnative.available():
             pytest.skip("no C toolchain in this environment")
         assert cnative.load() is cnative.load()
         assert cnative.build_error() is None

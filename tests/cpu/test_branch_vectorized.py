@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.branch import (
-    BRANCH_BACKENDS,
+    BRANCH_SAMPLE,
     BimodalPredictor,
     BranchSite,
     GSharePredictor,
-    branch_backend,
     simulate_sites,
 )
 from repro.cpu.branch import _SORT_CHUNK
@@ -179,24 +178,19 @@ def test_property_gshare_split_calls_match_one_call(chunks):
     assert split._history == whole._history
 
 
+def _scalar_sites(sites, predictor, max_simulated=BRANCH_SAMPLE):
+    """``simulate_sites`` written against the scalar oracle loop."""
+    total = 0.0
+    for site in sites:
+        if len(site.outcomes) == 0:
+            continue
+        sample = site.outcomes[:max_simulated]
+        rate = predictor.simulate(site.pc, sample.tolist()) / len(sample)
+        total += rate * site.count
+    return total
+
+
 class TestBackendDispatch:
-    def test_backends_tuple(self):
-        assert BRANCH_BACKENDS == ("vector", "scalar")
-
-    def test_resolver_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BRANCH_BACKEND", raising=False)
-        assert branch_backend() == "vector"
-        monkeypatch.setenv("REPRO_BRANCH_BACKEND", "scalar")
-        assert branch_backend() == "scalar"
-        assert branch_backend("vector") == "vector"
-
-    def test_resolver_rejects_unknown(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown branch backend"):
-            branch_backend("simd")
-        monkeypatch.setenv("REPRO_BRANCH_BACKEND", "turbo")
-        with pytest.raises(ValueError, match="unknown branch backend"):
-            branch_backend()
-
     def test_simulate_sites_backends_agree(self):
         rng = np.random.default_rng(13)
         sites = [
@@ -208,20 +202,9 @@ class TestBackendDispatch:
             )
             for i in range(4)
         ]
-        vector = simulate_sites(sites, GSharePredictor(), backend="vector")
-        scalar = simulate_sites(sites, GSharePredictor(), backend="scalar")
-        assert vector == scalar
-
-    def test_simulate_sites_env_knob(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        sites = [
-            BranchSite(name="b", pc=0x80, outcomes=_random_outcomes(rng, 500))
-        ]
-        monkeypatch.setenv("REPRO_BRANCH_BACKEND", "scalar")
-        scalar = simulate_sites(sites, GSharePredictor())
-        monkeypatch.setenv("REPRO_BRANCH_BACKEND", "vector")
         vector = simulate_sites(sites, GSharePredictor())
-        assert scalar == vector
+        scalar = _scalar_sites(sites, GSharePredictor())
+        assert vector == scalar
 
     def test_scalar_backend_without_simulate_array(self):
         # a predictor lacking simulate_array silently takes the scalar path
@@ -236,6 +219,6 @@ class TestBackendDispatch:
         sites = [
             BranchSite(name="b", pc=0x80, outcomes=_random_outcomes(rng, 300))
         ]
-        assert simulate_sites(sites, Plain(), backend="vector") == simulate_sites(
-            sites, GSharePredictor(), backend="scalar"
+        assert simulate_sites(sites, Plain()) == _scalar_sites(
+            sites, GSharePredictor()
         )

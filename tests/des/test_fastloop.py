@@ -1,14 +1,14 @@
-"""Bit-identity of the flattened DES loop with the generator engine.
+"""Bit-identity of the DES fast path with the generator engine.
 
-:meth:`EvictionBufferModel.run` executes the flat event loop of
-:mod:`repro.des.fastloop` (and, through the kernel-backend tiers, its C
-twin); :meth:`EvictionBufferModel.run_reference` retains the original
-generator-engine formulation as the oracle. Figure 13a's stall fractions
-are ratios of accumulated floats, so these tests demand *bit* identity —
-``float.hex`` equality of every cycle counter, not approximate equality —
-plus exact eviction counts and max queue occupancies (occupancy maxima
-are sensitive to event ordering at timestamp ties, which makes them the
-sharpest probe of schedule fidelity).
+:meth:`EvictionBufferModel.run` replays the schedule as one C call
+(``cnative``) and falls back to :meth:`EvictionBufferModel.run_reference`,
+the generator-engine :class:`~repro.des.engine.Simulator` formulation kept
+as the oracle, when the C tier is unavailable. Figure 13a's stall
+fractions are ratios of accumulated floats, so these tests demand *bit*
+identity — ``float.hex`` equality of every cycle counter, not approximate
+equality — plus exact eviction counts and max queue occupancies
+(occupancy maxima are sensitive to event ordering at timestamp ties,
+which makes them the sharpest probe of schedule fidelity).
 """
 
 import numpy as np
@@ -16,41 +16,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import kernels as kernel_backends
-from repro.des import fastloop
+from repro.cache.kernels import cnative
 from repro.des.eviction_model import EvictionBufferModel, EvictionModelConfig
 
-BACKENDS = ["numpy"]
-if kernel_backends.cnative_available():
-    BACKENDS.append("cnative")
 
-
-def assert_bit_identical(cfg, trace):
-    model = EvictionBufferModel(cfg)
-    ref = model.run_reference(trace)
-    trace = np.asarray(trace, dtype=np.int64)
-    for backend in BACKENDS:
-        total, stall, evictions, max_occ = fastloop.simulate_eviction_pipeline(
-            trace, cfg, backend=backend
-        )
-        label = f"backend={backend}"
-        assert total.hex() == ref.total_cycles.hex(), label
-        assert stall.hex() == ref.core_stall_cycles.hex(), label
-        assert evictions == [
-            ref.evictions["l1"], ref.evictions["l2"], ref.evictions["llc"],
-        ], label
-        assert max_occ == [
-            ref.max_queue_occupancy["l1_evict"],
-            ref.max_queue_occupancy["l2_evict"],
-            ref.max_queue_occupancy["mem"],
-        ], label
-    fast = model.run(trace)
+def assert_same_result(fast, ref):
     assert fast.total_cycles.hex() == ref.total_cycles.hex()
     assert fast.core_stall_cycles.hex() == ref.core_stall_cycles.hex()
     assert fast.evictions == ref.evictions
     assert fast.max_queue_occupancy == ref.max_queue_occupancy
     assert fast.tuples == ref.tuples
     assert fast.stall_fraction == ref.stall_fraction
+
+
+def assert_bit_identical(cfg, trace):
+    model = EvictionBufferModel(cfg)
+    ref = model.run_reference(trace)
+    assert_same_result(model.run(np.asarray(trace, dtype=np.int64)), ref)
     return ref
 
 
@@ -127,22 +109,35 @@ def test_schedule_property(trace, l1_fifo, per_line):
 
 
 def test_oracle_marker():
-    """The backend-pairing lint rule keys off this module attribute."""
-    assert fastloop.SCALAR_ORACLE == "Simulator"
+    """The backend-pairing lint rule pairs the DES with its oracle engine."""
+    from repro.analysis import rules
+
+    assert (
+        "des/eviction_model.py", "EvictionBufferModel",
+        "des/engine.py", "Simulator",
+    ) in rules._BACKEND_PAIRS
 
 
-def test_numpy_backend_forces_python_loop(monkeypatch):
-    """REPRO_KERNEL_BACKEND=numpy must bypass the C loop (the no-compiler
-    CI leg relies on this) and still be bit-identical."""
-    monkeypatch.setenv(kernel_backends.KERNEL_BACKEND_KNOB, "numpy")
+def test_no_compiler_falls_back_to_oracle(monkeypatch):
+    """Without the C tier, or when the C run cannot allocate, ``run``
+    takes the generator oracle and stays bit-identical."""
     rng = np.random.default_rng(14)
     cfg = EvictionModelConfig(num_indices=256)
     trace = rng.integers(0, 256, size=5_000)
     model = EvictionBufferModel(cfg)
     ref = model.run_reference(trace)
-    fast = model.run(trace)
-    assert fast.total_cycles.hex() == ref.total_cycles.hex()
-    assert fast.evictions == ref.evictions
+    calls = []
+    with monkeypatch.context() as patch:
+        # a stub C call that records itself and returns None
+        patch.setattr(
+            cnative, "eviction_pipeline_native", lambda *args: calls.append(args)
+        )
+        patch.setattr(cnative, "available", lambda: False)
+        assert_same_result(model.run(trace), ref)
+        assert calls == []  # no compiler: the C tier is never asked
+        patch.setattr(cnative, "available", lambda: True)
+        assert_same_result(model.run(trace), ref)
+        assert len(calls) == 1  # asked once, answered None, fell back
 
 
 def test_run_validates_indices():

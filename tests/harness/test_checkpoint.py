@@ -104,22 +104,6 @@ class TestAtomicWriteDurability:
         assert order == ["fsync", "replace"]
         assert json.loads(target.read_text("utf-8")) == {"a": 1}
 
-    def test_tracestore_install_fsyncs(self, tmp_path, monkeypatch):
-        """The trace store's publish path shares the same discipline."""
-        import numpy as np
-
-        from repro.harness.tracestore import TraceStore
-
-        synced = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
-        )
-        store = TraceStore(tmp_path)
-        store.materialize([np.arange(4, dtype=np.int64)], [False])
-        # The lines and writes blobs plus the meta JSON each fsync.
-        assert len(synced) >= 3
-
 
 class TestJournal:
     def test_roundtrip_bit_identical(self, tmp_path, points, serial_results):

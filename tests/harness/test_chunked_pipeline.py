@@ -1,10 +1,10 @@
-"""Chunked trace streaming vs the full-materialization reference path.
+"""Chunked trace streaming vs one whole-trace chunk.
 
-``trace_chunk=0`` materializes the whole merged trace (the original
-pipeline); any positive chunk size streams fixed-size slices through the
-same hierarchy. The two must be bit-identical — every counter, every
-phase, every mode, both engines — because hierarchy state persists across
-chunk boundaries and stream injection is integer-exact under slicing.
+``trace_chunk=0`` replays the whole merged trace as one chunk; any
+positive chunk size streams fixed-size slices through the same hierarchy.
+The two must be bit-identical — every counter, every phase, every mode,
+both engines — because hierarchy state persists across chunk boundaries
+and stream injection is integer-exact under slicing.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from repro.harness import modes
 from repro.harness.inputs import make_workload
-from repro.harness.runner import DEFAULT_TRACE_CHUNK, Runner
+from repro.harness.runner import DEFAULT_TRACE_CHUNK, Runner, _materialize_trace
 
 SCALE = 15
 
@@ -79,12 +79,22 @@ class TestChunkIterator:
         # boundaries fall on whole rounds: every chunk has even length
         assert all(len(p[0]) % 2 == 0 for p in parts)
 
+    def test_zero_chunk_yields_whole_trace(self):
+        runner = Runner(trace_chunk=0)
+        a = np.arange(0, 40, dtype=np.int64)
+        b = np.arange(100, 140, dtype=np.int64)
+        parts = list(runner._iter_trace_chunks([a, b], [True, False], 0))
+        assert len(parts) == 1
+        lines, writes = _materialize_trace([a, b], [True, False])
+        assert parts[0][0].tolist() == lines.tolist()
+        assert parts[0][1].tolist() == writes.tolist()
+
     def test_merge_chunk_slices_match_full_merge(self):
         runner = Runner()
         runner._stream_base = 10_000
         lines = np.arange(57, dtype=np.int64)
         writes = np.ones(57, dtype=bool)
-        full = runner._interleaved_trace(lines, writes, 23, 57)
+        full = runner._merge_chunk(lines, writes, 23, 57, 0)
         pieces = []
         offset = 0
         for size in (10, 10, 10, 10, 10, 7):
@@ -103,27 +113,21 @@ class TestChunkIterator:
 
 
 class TestChunkKnob:
-    def test_constructor_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CHUNK", "12345")
-        assert Runner(trace_chunk=7).trace_chunk_size() == 7
-        assert Runner(trace_chunk=0).trace_chunk_size() == 0
+    def test_default(self):
+        assert Runner().trace_chunk == DEFAULT_TRACE_CHUNK
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CHUNK", "2048")
-        assert Runner().trace_chunk_size() == 2048
-        monkeypatch.setenv("REPRO_TRACE_CHUNK", "0")
-        assert Runner().trace_chunk_size() == 0
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_CHUNK", raising=False)
-        assert Runner().trace_chunk_size() == DEFAULT_TRACE_CHUNK
+    def test_negative_chunk_rejected(self):
+        # range(0, n, -4) would yield no chunks and silently simulate
+        # nothing, caching empty counters under the point's digest.
+        with pytest.raises(ValueError, match="trace_chunk"):
+            Runner(trace_chunk=-4)
 
     def test_spawn_spec_carries_chunk_setting(self):
         runner = Runner(trace_chunk=99)
         spec = runner.spawn_spec()
         assert spec["trace_chunk"] == 99
         rebuilt = Runner.from_spec(spec)
-        assert rebuilt.trace_chunk_size() == 99
+        assert rebuilt.trace_chunk == 99
 
     def test_chunking_absent_from_digest(self):
         # bit-identical results must share one cache entry across chunk sizes

@@ -18,25 +18,25 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 class TestRegistry:
     def test_read_prefers_explicit_environ(self):
         value = knobs.read(
-            "REPRO_TRACE_CHUNK", environ={"REPRO_TRACE_CHUNK": "4096"}
+            "REPRO_SERVICE_PORT", environ={"REPRO_SERVICE_PORT": "4096"}
         )
         assert value == "4096"
 
     def test_read_returns_none_when_unset(self):
-        assert knobs.read("REPRO_TRACE_CHUNK", environ={}) is None
+        assert knobs.read("REPRO_SERVICE_PORT", environ={}) is None
 
     def test_read_uses_process_environment_by_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BRANCH_BACKEND", "scalar")
-        assert knobs.read("REPRO_BRANCH_BACKEND") == "scalar"
+        monkeypatch.setenv("REPRO_REPLAY_TIME_BAND", "0.25")
+        assert knobs.read("REPRO_REPLAY_TIME_BAND") == "0.25"
 
     def test_unregistered_name_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="REPRO_TRACE_CHUNK"):
+        with pytest.raises(KeyError, match="REPRO_SERVICE_PORT"):
             knobs.read("REPRO_TYPO")
 
     def test_registered_names_sorted(self):
         names = knobs.registered_names()
         assert list(names) == sorted(names)
-        assert "REPRO_TRACE_CHUNK" in names
+        assert "REPRO_SERVICE_PORT" in names
 
     def test_every_knob_declares_a_contract(self):
         for knob in knobs.KNOBS.values():
