@@ -9,16 +9,16 @@ paper-adjacent benefit of the same reordering.
 
 from repro.dram import DramModel
 from repro.harness.experiments.common import ExperimentResult
-from repro.harness.inputs import make_workload
 from repro.harness.report import format_table
 from repro.pb.bins import BinSpec, bin_updates
+from repro.workloads.registry import resolve
 
 
 def test_ablation_dram_rowbuffer(benchmark, runner, save_result):
     def run():
         rows = []
         for input_name in ("KRON", "URND"):
-            workload = make_workload("degree-count", input_name)
+            workload = resolve("degree-count", input_name)
             line_elems = 64 // workload.element_bytes
             sample = workload.update_indices[:200_000]
 

@@ -10,9 +10,9 @@ LLC access per tuple. This bench quantifies what the hierarchy buys.
 from repro.core import costs
 from repro.harness import modes
 from repro.harness.experiments.common import ExperimentResult
-from repro.harness.inputs import make_workload
 from repro.harness.report import format_table
 from repro.workloads.base import PhaseSpec, RegionSpec, Segment
+from repro.workloads.registry import resolve
 
 
 def _flat_binning_phase(workload, cobra):
@@ -39,7 +39,7 @@ def test_ablation_hierarchy(benchmark, runner, save_result):
     def run():
         rows = []
         for input_name in ("KRON", "URND"):
-            workload = make_workload("neighbor-populate", input_name)
+            workload = resolve("neighbor-populate", input_name)
             cobra = runner.cobra_config(workload)
             hierarchical = runner.run(workload, modes.COBRA).phase("binning")
             flat = runner._simulate_phase(

@@ -10,9 +10,9 @@ single-pass software PB, two-pass software partitioning, and COBRA.
 
 from repro.harness import modes
 from repro.harness.experiments.common import ExperimentResult
-from repro.harness.inputs import make_workload
 from repro.harness.report import format_table
 from repro.pb import BinSpec, MultiPassPartitioner
+from repro.workloads.registry import resolve
 
 
 def _two_pass_cycles(runner, workload, total_bins):
@@ -36,7 +36,7 @@ def test_ablation_multipass(benchmark, runner, save_result):
     def run():
         rows = []
         for input_name in ("KRON", "URND"):
-            workload = make_workload("neighbor-populate", input_name)
+            workload = resolve("neighbor-populate", input_name)
             cobra_cfg = runner.cobra_config(workload)
             total_bins = cobra_cfg.llc.num_buffers
             total_bins = 1 << (total_bins.bit_length() - 1)

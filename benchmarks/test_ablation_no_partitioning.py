@@ -10,9 +10,9 @@ hierarchy.
 """
 
 from repro.harness.experiments.common import ExperimentResult
-from repro.harness.inputs import make_workload
 from repro.harness.report import format_table
 from repro.workloads.base import PhaseSpec, RegionSpec, Segment
+from repro.workloads.registry import resolve
 
 
 def _unpartitioned_cbuffer_phase(workload, num_buffers):
@@ -35,7 +35,7 @@ def test_ablation_no_partitioning(benchmark, runner, save_result):
     def run():
         rows = []
         for input_name in ("KRON", "URND", "EURO"):
-            workload = make_workload("neighbor-populate", input_name)
+            workload = resolve("neighbor-populate", input_name)
             cobra = runner.cobra_config(workload)
             phase = _unpartitioned_cbuffer_phase(
                 workload, cobra.llc.num_buffers

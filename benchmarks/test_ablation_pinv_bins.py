@@ -12,8 +12,8 @@ from dataclasses import replace
 
 from repro.harness import modes
 from repro.harness.experiments.common import ExperimentResult
-from repro.harness.inputs import make_workload
 from repro.harness.report import format_table
+from repro.workloads.registry import resolve
 
 
 def _cobra_cycles(runner, workload, llc_reserved):
@@ -29,7 +29,7 @@ def _cobra_cycles(runner, workload, llc_reserved):
 
 def test_ablation_pinv_bins(benchmark, runner, save_result):
     def run():
-        workload = make_workload("pinv", "PERM")
+        workload = resolve("pinv", "PERM")
         pb = runner.run(workload, modes.PB_SW).cycles
         base = runner.run(workload, modes.BASELINE).cycles
         rows = []

@@ -1,8 +1,8 @@
 """Figure 2 benchmark: LLC miss rates of baseline irregular updates."""
 
 from repro.harness.experiments import fig02
-from repro.harness.inputs import describe_inputs
 from repro.harness.report import format_table
+from repro.workloads.registry import describe_inputs
 
 
 def test_fig02_llc_missrate(benchmark, runner, save_result):

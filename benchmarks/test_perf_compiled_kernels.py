@@ -33,9 +33,9 @@ from repro.cache import BatchHierarchy
 from repro.cache.kernels import cnative, select_backend
 from repro.des.eviction_model import EvictionBufferModel, EvictionModelConfig
 from repro.harness import Runner
-from repro.harness.inputs import make_workload
 from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.modes import BASELINE, COBRA, PB_SW, PB_SW_IDEAL
+from repro.workloads.registry import resolve
 
 BENCH_NAME = "BENCH_compiled_kernels.json"
 
@@ -112,7 +112,7 @@ def test_perf_compiled_kernels(bench_history):
     # prefetch, and every COBRA reserved-ways variant — is batchable now.
     assert BatchHierarchy.reject_reason(DEFAULT_MACHINE.hierarchy) is None
 
-    workload = make_workload("degree-count", "KRON", scale=SCALE)
+    workload = resolve("degree-count", "KRON", scale=SCALE)
     # Warm the graph-generation cache and the compiled-kernel build so
     # neither pipeline pays one-time costs inside the timed region.
     Runner(machine=DEFAULT_MACHINE).run(workload, BASELINE, use_cache=False)

@@ -39,10 +39,10 @@ from repro.cpu.branch import (
 )
 from repro.harness import Runner
 from repro.harness import runner as runner_module
-from repro.harness.inputs import make_workload
 from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.modes import BASELINE, COBRA, PB_SW, PB_SW_IDEAL
 from repro.harness.runner import DEFAULT_TRACE_CHUNK
+from repro.workloads.registry import resolve
 
 BENCH_NAME = "BENCH_phase_pipeline.json"
 
@@ -168,7 +168,7 @@ def test_perf_phase_pipeline(monkeypatch, bench_history):
     gshare = _predictor_bench(GSharePredictor, outcomes)
     bimodal = _predictor_bench(BimodalPredictor, outcomes)
 
-    workload = make_workload("degree-count", "KRON", scale=SCALE)
+    workload = resolve("degree-count", "KRON", scale=SCALE)
     # Warm the workload/graph generation cache so neither pipeline pays it.
     Runner(machine=PIPELINE_MACHINE).run(workload, BASELINE, use_cache=False)
 

@@ -21,10 +21,10 @@ import numpy as np
 from repro.cache.batchsim import BatchHierarchy
 from repro.cache.fastsim import FastHierarchy
 from repro.harness import Runner
-from repro.harness.inputs import make_workload
 from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.modes import BASELINE, COBRA, PB_SW
 from repro.harness.resultcache import ResultCache
+from repro.workloads.registry import resolve
 
 BENCH_NAME = "BENCH_trace_engine.json"
 
@@ -40,8 +40,8 @@ SMOKE_MACHINE = dataclasses.replace(
 
 
 def _points():
-    graph = make_workload("degree-count", "KRON", scale=SCALE)
-    sort = make_workload("integer-sort", "U16", scale=SCALE)
+    graph = resolve("degree-count", "KRON", scale=SCALE)
+    sort = resolve("integer-sort", "U16", scale=SCALE)
     return [(w, mode) for w in (graph, sort) for mode in MODES]
 
 

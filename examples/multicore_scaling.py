@@ -9,16 +9,16 @@ while PB and COBRA scale cleanly.
 Run:  python examples/multicore_scaling.py
 """
 
+from repro.api import resolve_workload
 from repro.cache import DirectoryMESI
 from repro.harness import BASELINE, COBRA, PB_SW, Runner
-from repro.harness.inputs import make_workload
 from repro.harness.parallel import ParallelModel
 from repro.harness.report import format_table
 
 
 def main():
     runner = Runner(max_sim_events=100_000)
-    workload = make_workload("pagerank", "KRON", scale=17)
+    workload = resolve_workload("pagerank/KRON@17")
     print(f"workload: {workload}\n")
 
     # A direct look at the coherence behaviour: interleave the update

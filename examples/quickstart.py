@@ -10,10 +10,10 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
+from repro.api import resolve_workload
 from repro.core import CobraConfig, CobraMachine
 from repro.graphs import rmat
 from repro.harness import BASELINE, COBRA, PB_SW, Runner
-from repro.harness.inputs import make_workload
 from repro.pb import PropagationBlocker
 
 
@@ -69,7 +69,7 @@ def main():
     # 4. Why it is faster: the performance model.
     # ------------------------------------------------------------------ #
     runner = Runner(max_sim_events=100_000)
-    workload = make_workload("degree-count", "KRON", scale=17)
+    workload = resolve_workload("degree-count/KRON@17")
     baseline = runner.run(workload, BASELINE).cycles
     pb = runner.run(workload, PB_SW).cycles
     cobra = runner.run(workload, COBRA).cycles

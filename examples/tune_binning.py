@@ -14,14 +14,14 @@ import sys
 
 from repro.des import EvictionBufferModel, EvictionModelConfig
 from repro.harness import Runner
-from repro.harness.inputs import WORKLOAD_INPUTS, make_workload
 from repro.harness.report import format_table
 from repro.pb import BinSpec
+from repro.workloads.registry import WORKLOAD_INPUTS, resolve
 
 
 def main(workload_name="neighbor-populate", input_name="KRON"):
     runner = Runner(max_sim_events=100_000)
-    workload = make_workload(workload_name, input_name, scale=16)
+    workload = resolve(workload_name, input_name, scale=16)
     plan = runner.plan(workload)
     print(f"{workload_name}/{input_name}: {workload}")
     print(f"planner: {plan.describe()}\n")

@@ -61,12 +61,12 @@ def fail(message, code=1):
 
 
 def expected_counters():
-    from repro.harness.inputs import make_workload
     from repro.harness.resultcache import counters_to_dict
     from repro.harness.runner import Runner
+    from repro.workloads.registry import resolve
 
     runner = Runner(result_cache=None)
-    workload = make_workload("degree-count", "KRON", SCALE)
+    workload = resolve("degree-count", "KRON", SCALE)
     return [
         counters_to_dict(runner.run(workload, mode, use_cache=False))
         for mode in MODES

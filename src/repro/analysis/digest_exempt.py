@@ -37,8 +37,8 @@ DIGEST_EXEMPT = {
         "computed identically with or without a sink attached"
     ),
     "Runner.fault_policy": (
-        "execution strategy: crashed/hung attempts are retried to "
-        "bit-identical counters (tests/harness/test_faults.py)"
+        "retry policy of the one sweep executor: crashed/hung attempts are "
+        "retried to bit-identical counters (tests/harness/test_faults.py)"
     ),
     "Runner.trace_chunk": (
         "bit-identical by test across every chunk size, including 0, the "

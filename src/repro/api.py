@@ -2,7 +2,7 @@
 
 This module is the supported entry point for driving the reproduction from
 Python. Every execution path — :meth:`Runner.run`, :meth:`Runner.run_many`,
-:func:`~repro.harness.faults.run_sweep_resilient`, the persistent result
+:func:`~repro.harness.parallel.run_sweep`, the persistent result
 cache, checkpoint journals, and the ``fig*`` experiment drivers — returns
 :class:`RunResult` objects: frozen dataclasses carrying the per-phase
 counters, the simulation engine that produced each phase, and where the
@@ -10,10 +10,10 @@ result came from (``provenance``).
 
 Quick tour::
 
-    from repro.api import ExecutionMode, Runner, RunResult, make_workload
+    from repro.api import ExecutionMode, Runner, RunResult, resolve_workload
 
     runner = Runner()
-    workload = make_workload("degree-count", "KRON", scale=20)
+    workload = resolve_workload("degree-count/KRON@20")
     result = runner.run(workload, ExecutionMode.COBRA)
     result.cycles, result.mpki, result.phase("binning").ipc
     legacy = result.as_dict()   # deprecation shim: the on-disk JSON shape
@@ -36,7 +36,6 @@ __all__ = [
     "PhaseResult",
     "RunResult",
     "Runner",
-    "make_workload",
     "resolve_workload",
     "workload_instances",
     "run_experiment",
@@ -248,17 +247,6 @@ class RunResult:
         from repro.harness.resultcache import counters_from_dict
 
         return counters_from_dict(payload, provenance=provenance)
-
-
-def make_workload(name, input_name, scale=None):
-    """Build one workload instance via the registry.
-
-    Prefer :func:`resolve_workload` with a canonical
-    ``workload/input@scale`` spec string for new code.
-    """
-    from repro.workloads.registry import resolve
-
-    return resolve(name, input_name, scale)
 
 
 def resolve_workload(spec):

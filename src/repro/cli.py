@@ -9,7 +9,7 @@ Usage::
     python -m repro run fig10 --jobs 4        # parallel sweep executor
     python -m repro run fig10 --no-cache      # skip the persistent cache
     python -m repro run fig10 --jobs 4 --timeout 600 --retries 2 \
-        --telemetry run.jsonl                 # fault-tolerant + observable
+        --telemetry run.jsonl                 # hang budget + observable
     python -m repro run fig10 --jobs 4 --checkpoint-dir  # journal progress
     python -m repro point pagerank KRON --mode cobra  # one point, validated
     python -m repro runs                      # list checkpointed runs
@@ -83,6 +83,16 @@ EXPERIMENTS = {
 }
 
 
+def _positive_int(text):
+    """argparse type for ``--jobs``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
+
+
 def build_parser():
     """The argparse parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -114,7 +124,7 @@ def build_parser():
     )
     run_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help=(
             "fan independent (workload, mode) points across this many "
@@ -135,8 +145,7 @@ def build_parser():
         default=None,
         help=(
             "per-point wall-clock budget in seconds for parallel sweeps; "
-            "hung workers are killed and their points retried "
-            "(enables the fault-tolerant executor)"
+            "hung workers are killed and their points retried"
         ),
     )
     run_parser.add_argument(
@@ -145,8 +154,7 @@ def build_parser():
         default=None,
         help=(
             "retries per sweep point after a crash/timeout/error "
-            "(enables the fault-tolerant executor; default 2 when "
-            "--timeout is given)"
+            "(default 2)"
         ),
     )
     run_parser.add_argument(
@@ -178,8 +186,8 @@ def build_parser():
         default=None,
         help=(
             "flag a parallel-sweep worker as stalled when its point emits "
-            "no heartbeat for this long (enables the fault-tolerant "
-            "executor; catches wedged workers well before --timeout)"
+            "no heartbeat for this long (catches wedged workers well "
+            "before --timeout)"
         ),
     )
 
@@ -273,7 +281,7 @@ def build_parser():
         description=(
             "Long-running daemon accepting sweep submissions over local "
             "HTTP/JSON. Jobs are journaled durably before acknowledgement "
-            "and executed through the fault-tolerant sweep executor with "
+            "and executed through the sweep executor with "
             "per-point checkpoints, so a kill -9 plus restart resumes "
             "every in-flight job bit-identically. SIGTERM drains "
             "gracefully within $REPRO_SERVICE_DRAIN_DEADLINE."
@@ -323,7 +331,7 @@ def build_parser():
     )
     serve_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=2,
         help="worker processes per sweep (default 2)",
     )
@@ -455,7 +463,7 @@ def build_parser():
     )
     resume_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes for the remaining points (default: serial)",
     )
@@ -919,10 +927,11 @@ def _cmd_point(print_fn, args):
     """Simulate one point through the ``repro.api`` facade."""
     import json
 
-    from repro.api import RunResult, Runner, make_workload, resolve_workload
+    from repro.api import RunResult, Runner, resolve_workload
     from repro.harness.modes import ExecutionMode
     from repro.harness.report import format_table
     from repro.harness.resultcache import ResultCache
+    from repro.workloads import registry
 
     try:
         mode = ExecutionMode.coerce(args.mode)
@@ -948,9 +957,7 @@ def _cmd_point(print_fn, args):
                 spec = f"{spec}@{args.scale}"
             workload = resolve_workload(spec)
         else:
-            workload = make_workload(
-                args.workload, args.input, scale=args.scale
-            )
+            workload = registry.resolve(args.workload, args.input, args.scale)
     except (KeyError, ValueError) as exc:
         print_fn(str(exc))
         return 2
@@ -1162,7 +1169,7 @@ def _configure_runner(args):
 
 def _cmd_resume(print_fn, args):
     from repro.harness.checkpoint import SweepCheckpoint
-    from repro.harness.faults import run_sweep_resilient
+    from repro.harness.parallel import run_sweep
 
     runner = _configure_runner(args)
     root = _checkpoint_root(args.checkpoint_dir)
@@ -1180,7 +1187,7 @@ def _cmd_resume(print_fn, args):
         print_fn(str(exc))
         return 1
     points = checkpoint.points()
-    outcome = run_sweep_resilient(
+    outcome = run_sweep(
         runner,
         points,
         jobs=args.jobs if args.jobs is not None else 1,

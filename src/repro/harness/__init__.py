@@ -12,7 +12,6 @@ from repro.harness.faults import (
     PointFailure,
     SweepInterrupted,
     SweepOutcome,
-    run_sweep_resilient,
 )
 from repro.harness.machine import DEFAULT_MACHINE, MachineConfig
 from repro.harness.modes import (
@@ -26,6 +25,7 @@ from repro.harness.modes import (
     PHI,
     ExecutionMode,
 )
+from repro.harness.parallel import run_sweep
 from repro.harness.report import format_series, format_table, geomean, speedup
 from repro.harness.runner import Runner
 from repro.harness.telemetry import NULL_TELEMETRY, JsonlTelemetry, Telemetry
@@ -59,5 +59,5 @@ __all__ = [
     "geomean",
     "speedup",
     "list_runs",
-    "run_sweep_resilient",
+    "run_sweep",
 ]

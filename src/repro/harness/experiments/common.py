@@ -67,15 +67,14 @@ def prefetch_runs(runner, points, jobs=None, label=None, checkpoint_dir=None):
     """Warm the runner's memo for ``(workload, mode)`` points in parallel.
 
     Experiment drivers keep their readable serial loops; calling this first
-    with ``jobs`` > 1 computes every independent point through the
-    process-pool executor, so the subsequent serial loop is all memo hits.
-    A no-op when ``jobs`` is ``None``/``<= 1`` and no checkpoint directory
-    is given.
+    with ``jobs`` > 1 computes every independent point through the sweep
+    executor, so the subsequent serial loop is all memo hits. A no-op when
+    ``jobs`` is ``None``/``<= 1`` and no checkpoint directory is given.
 
     ``label`` tags the sweep in the telemetry log with the experiment it
-    warms, so ``repro report`` can attribute wall-clock per figure. With a
-    fault policy on the runner, a crashed/hung point merely falls back to
-    the driver's serial loop instead of aborting the figure.
+    warms, so ``repro report`` can attribute wall-clock per figure. A
+    crashed or hung worker costs only a retry of its point, never the
+    figure.
 
     ``checkpoint_dir`` attaches a :class:`SweepCheckpoint` under that
     directory: completed points are journaled as they finish, SIGINT/SIGTERM

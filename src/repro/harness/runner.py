@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from repro._util import check_positive
 from repro.api import PhaseResult, RunResult
 from repro.baselines.phi import PhiMachine
 from repro.cache.address import AddressSpace
@@ -70,8 +71,9 @@ class Runner:
     engine selections, per-phase simulation wall-clock, and — propagated to
     the attached ``result_cache`` — cache hits/misses; the default is the
     zero-overhead no-op sink. ``fault_policy`` (a
-    :class:`~repro.harness.faults.FaultPolicy`) makes :meth:`run_many`
-    route parallel sweeps through the fault-tolerant executor.
+    :class:`~repro.harness.faults.FaultPolicy`) sets the timeouts, retries
+    and heartbeat watchdog of :meth:`run_many`'s parallel sweeps (default
+    ``FaultPolicy()``).
     """
 
     def __init__(
@@ -198,71 +200,60 @@ class Runner:
     ):
         """Run ``(workload, mode)`` points, optionally across processes.
 
-        Returns the :class:`~repro.api.RunResult` list in input order. With ``jobs``
-        > 1 the points are fanned out through the process-pool sweep
-        executor (see :func:`repro.harness.parallel.run_sweep`); results are
-        identical to the serial path — every point is an independent
-        simulation and the executor restores submission order.
-
-        With a ``fault_policy`` attached the fan-out goes through the
-        fault-tolerant executor instead: crashed or hung workers cost only
-        the lost points, and any point the pool could not complete is
-        recomputed serially in-process here, preserving this method's
-        list-of-counters contract (a point that fails even in-process
-        raises, exactly as the serial path would).
+        Returns the :class:`~repro.api.RunResult` list in input order.
+        ``jobs`` must be positive. With ``jobs`` None or 1 and no
+        ``checkpoint`` the points run in a plain serial loop. Otherwise
+        they go through the sweep executor
+        (:func:`repro.harness.parallel.run_sweep`) under this runner's
+        ``fault_policy``: results are identical to the serial path — every
+        point is an independent simulation and the executor restores
+        submission order — and crashed or hung workers cost only the lost
+        points. Any point the executor could not complete is recomputed
+        serially in-process here, preserving the list contract (a point
+        that fails even in-process raises, exactly as the serial path
+        would).
 
         ``checkpoint`` (a :class:`~repro.harness.checkpoint.SweepCheckpoint`)
-        always routes through the fault-tolerant executor — even for
-        ``jobs=1`` — so every completed point is journaled, previously
-        journaled points are spliced back without re-simulation, and (with
-        ``handle_signals=True``) SIGINT/SIGTERM drain gracefully. An
-        interrupted sweep cannot satisfy the list contract, so it raises
+        journals every completed point and splices previously journaled
+        points back without re-simulation; with ``handle_signals=True``
+        SIGINT/SIGTERM drain gracefully. An interrupted sweep cannot
+        satisfy the list contract, so it raises
         :class:`~repro.harness.faults.SweepInterrupted` carrying the
         partial :class:`~repro.harness.faults.SweepOutcome`.
         """
+        if jobs is not None:
+            check_positive("jobs", jobs)
         points = list(points)
-        use_resilient = checkpoint is not None or (
-            self.fault_policy is not None
-            and jobs is not None
-            and jobs > 1
-            and len(points) > 1
+        if checkpoint is None and jobs in (None, 1):
+            return [
+                self.run(workload, mode, use_cache=use_cache)
+                for workload, mode in points
+            ]
+        from repro.harness.faults import SweepInterrupted
+        from repro.harness.parallel import run_sweep
+
+        outcome = run_sweep(
+            self,
+            points,
+            jobs=jobs or 1,
+            use_cache=use_cache,
+            policy=self.fault_policy,
+            checkpoint=checkpoint,
+            handle_signals=handle_signals,
         )
-        if use_resilient:
-            from repro.harness.faults import (
-                SweepInterrupted,
-                run_sweep_resilient,
+        if outcome.interrupted:
+            raise SweepInterrupted(outcome)
+        results = list(outcome.results)
+        for failure in outcome.failures:
+            workload, mode = points[failure.index]
+            results[failure.index] = self.run(
+                workload, mode, use_cache=use_cache
             )
-
-            outcome = run_sweep_resilient(
-                self,
-                points,
-                jobs=jobs if jobs is not None else 1,
-                use_cache=use_cache,
-                policy=self.fault_policy,
-                checkpoint=checkpoint,
-                handle_signals=handle_signals,
-            )
-            if outcome.interrupted:
-                raise SweepInterrupted(outcome)
-            results = list(outcome.results)
-            for failure in outcome.failures:
-                workload, mode = points[failure.index]
-                results[failure.index] = self.run(
-                    workload, mode, use_cache=use_cache
-                )
-                if checkpoint is not None:
-                    checkpoint.record(failure.index, results[failure.index])
-            if checkpoint is not None and outcome.failures:
-                checkpoint.mark_completed()
-            return results
-        if jobs is not None and jobs > 1 and len(points) > 1:
-            from repro.harness.parallel import run_sweep
-
-            return run_sweep(self, points, jobs=jobs, use_cache=use_cache)
-        return [
-            self.run(workload, mode, use_cache=use_cache)
-            for workload, mode in points
-        ]
+            if checkpoint is not None:
+                checkpoint.record(failure.index, results[failure.index])
+        if checkpoint is not None and outcome.failures:
+            checkpoint.mark_completed()
+        return results
 
     # ------------------------------------------------------------------ #
     # Memo + persistent cache plumbing

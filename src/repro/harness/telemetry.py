@@ -1,6 +1,6 @@
 """Structured run telemetry: a JSONL event log for sweeps and runs.
 
-Every layer of the harness (``Runner``, the sweep executors, the persistent
+Every layer of the harness (``Runner``, the sweep executor, the persistent
 :class:`ResultCache`) reports what it does through a :class:`Telemetry`
 object: one JSON object per line with an ``event`` name, a wall-clock
 timestamp, and event-specific fields. The default is the process-wide
@@ -25,13 +25,13 @@ subtraction in golden/replay and journal code to keep it that way.
 Event vocabulary (see EXPERIMENTS.md for the full schema):
 
 ``sweep_started`` / ``sweep_completed``
-    One sweep through the (fault-tolerant) executor.
+    One sweep through the executor (:func:`repro.harness.parallel.run_sweep`).
 ``point_scheduled`` / ``point_completed`` / ``point_retried`` /
 ``point_failed``
     Lifecycle of one (workload, mode) point, with attempt counts,
     wall-clock seconds, and failure reasons.
 ``pool_rebuilt`` / ``serial_fallback``
-    Crash-isolation actions of the fault-tolerant executor.
+    Crash-isolation actions of the sweep executor.
 ``sweep_interrupted`` / ``drain_timeout``
     Signal-driven graceful shutdown of a sweep (in-flight points drained
     or cancelled).

@@ -1,9 +1,9 @@
 """Crash-safe sweep service: a long-running daemon over the harness.
 
 The one-shot CLI already survives worker crashes, stalls, and parent
-death (:mod:`repro.harness.faults`, :mod:`repro.harness.checkpoint`);
-this package keeps those guarantees up while turning the harness into a
-long-lived local HTTP service:
+death (:func:`repro.harness.parallel.run_sweep`,
+:mod:`repro.harness.checkpoint`); this package keeps those guarantees up
+while turning the harness into a long-lived local HTTP service:
 
 :mod:`repro.service.journal`
     Append-only, fsync'd job journal with content-addressed job ids —
@@ -11,9 +11,8 @@ long-lived local HTTP service:
 :mod:`repro.service.jobqueue`
     Admission control (bounded queue, 429 + ``Retry-After``, per-client
     caps, cache-only degraded mode), the worker loop driving
-    :func:`~repro.harness.faults.run_sweep_resilient`, and graceful
-    drain through a :class:`~repro.harness.faults.GracefulShutdown`
-    latch.
+    :func:`~repro.harness.parallel.run_sweep`, and graceful drain through
+    a :class:`~repro.harness.faults.GracefulShutdown` latch.
 :mod:`repro.service.server`
     The hand-rolled asyncio HTTP/1.1 front end (``/healthz``,
     ``/readyz``, ``/status``, ``/jobs``) behind ``repro serve``.

@@ -5,7 +5,7 @@ The drill is the robustness acceptance test, runnable from CI
 One run exercises every recovery path the service claims:
 
 * **worker kill** — a ``kill=`` injector token SIGKILLs the pool worker
-  simulating one point; the resilient executor rebuilds the pool and
+  simulating one point; the sweep executor rebuilds the pool and
   retries it;
 * **worker stall** — a ``stall=`` token freezes a point long enough for
   the drill to ``kill -9`` the whole daemon mid-job;

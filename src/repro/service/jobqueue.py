@@ -16,8 +16,8 @@ HTTP front end (the tests drive it directly):
   from the :class:`~repro.harness.resultcache.ResultCache` read-through
   tier (cache-only degraded mode) instead of hanging or dropping them.
 * **Execution** happens on a single worker thread that feeds whole jobs
-  to :func:`~repro.harness.faults.run_sweep_resilient` (pool
-  parallelism lives inside each sweep), with every completed point
+  to :func:`~repro.harness.parallel.run_sweep` (pool parallelism lives
+  inside each sweep), with every completed point
   journaled by the job's :class:`~repro.harness.checkpoint.SweepCheckpoint`.
 * **Drain** (:meth:`SweepService.drain`) stops admissions, flips the
   shared :class:`~repro.harness.faults.GracefulShutdown` latch so the
@@ -40,12 +40,9 @@ from repro.harness.checkpoint import (
     default_checkpoint_dir,
     run_summary,
 )
-from repro.harness.faults import (
-    FaultInjector,
-    GracefulShutdown,
-    run_sweep_resilient,
-)
+from repro.harness.faults import FaultInjector, GracefulShutdown
 from repro.harness.modes import ExecutionMode
+from repro.harness.parallel import run_sweep
 from repro.harness.resultcache import counters_to_dict
 from repro.harness.telemetry import NULL_TELEMETRY
 from repro.service.journal import (
@@ -650,12 +647,12 @@ class SweepService:
             )
 
     def _execute(self, record):
-        """Run one job through the resilient executor; returns (state, error)."""
+        """Run one job through the sweep executor; returns (state, error)."""
         checkpoint = self._checkpoint_for(record)
         try:
             checkpoint.verify(self.runner)
             points = checkpoint.points()
-            outcome = run_sweep_resilient(
+            outcome = run_sweep(
                 self.runner,
                 points,
                 jobs=self.sweep_jobs,

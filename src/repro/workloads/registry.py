@@ -13,9 +13,9 @@ A resolved point has exactly one identity, spelled two ways:
 
 * the **cache key** ``workload:input:scale`` — the wire form, feeding
   ``run_digest``, result-cache paths, checkpoint specs, and service job
-  ids. Its bytes are frozen: they must match what the pre-registry
-  ``make_workload`` produced, or every warm cache and golden digest on
-  disk silently invalidates (pinned by ``tests/harness/test_digest_pins``).
+  ids. Its bytes are frozen: they must match the pre-registry format, or
+  every warm cache and golden digest on disk silently invalidates (pinned
+  by ``tests/harness/test_digest_pins``).
 * the **spec string** ``workload/input@scale`` — the canonical
   user-facing form accepted by ``repro point --spec`` and friends.
 
@@ -79,7 +79,6 @@ __all__ = [
     "load_csr",
     "load_graph",
     "load_matrix",
-    "make_workload",
     "parse_spec",
     "resolve",
     "resolve_point",
@@ -412,7 +411,7 @@ def _build_csr_build(input_name, scale):
     return CSRBuild(load_graph(input_name, scale))
 
 
-def _make_workloads():
+def _build_workloads():
     entries = (
         WorkloadSpec(
             name="degree-count",
@@ -522,7 +521,7 @@ def _make_workloads():
 #: Every registered workload, keyed by name. Registration order is
 #: iteration order: the paper's nine kernels first (their order fixes the
 #: suite's sweep/digest enumeration), extensions after.
-WORKLOADS = _make_workloads()
+WORKLOADS = _build_workloads()
 
 #: The paper suite (workload name -> canonical input names) — the exact
 #: mapping the pre-registry module exported; extensions excluded.
@@ -641,11 +640,6 @@ def resolve_point(cache_key):
         raise ValueError(
             f"bad scale {scale_text!r} in cache key {cache_key!r}"
         ) from None
-    return resolve(workload_name, input_name, scale)
-
-
-def make_workload(workload_name, input_name, scale=None):
-    """Pre-registry constructor name, kept for the compatibility shim."""
     return resolve(workload_name, input_name, scale)
 
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.harness import Runner
-from repro.harness.inputs import make_workload
 from repro.harness.modes import BASELINE, PB_SW
+from repro.workloads.registry import resolve
 
 SCALE = 13
 
@@ -43,7 +43,7 @@ class RecordingTelemetry:
 
 @pytest.fixture(scope="module")
 def points():
-    graph = make_workload("degree-count", "KRON", scale=SCALE)
+    graph = resolve("degree-count", "KRON", scale=SCALE)
     return [(graph, BASELINE), (graph, PB_SW)]
 
 

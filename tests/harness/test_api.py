@@ -13,7 +13,7 @@ from repro.api import (
     PhaseResult,
     RunResult,
     Runner,
-    make_workload,
+    resolve_workload,
 )
 from repro.cpu.counters import PhaseCounters, RunCounters
 from repro.harness import modes
@@ -28,7 +28,7 @@ def runner():
 
 @pytest.fixture(scope="module")
 def workload():
-    return make_workload("degree-count", "KRON", scale=SCALE)
+    return resolve_workload(f"degree-count/KRON@{SCALE}")
 
 
 @pytest.fixture(scope="module")

@@ -20,23 +20,19 @@ from repro.harness.checkpoint import (
     format_runs,
     list_runs,
 )
-from repro.harness.faults import (
-    FaultInjector,
-    FaultPolicy,
-    SweepInterrupted,
-    run_sweep_resilient,
-)
-from repro.harness.inputs import make_workload
+from repro.harness.faults import FaultInjector, FaultPolicy, SweepInterrupted
 from repro.harness.modes import BASELINE, PB_SW
+from repro.harness.parallel import run_sweep
 from repro.harness.telemetry import JsonlTelemetry, read_events
+from repro.workloads.registry import resolve
 
 SCALE = 13
 
 
 @pytest.fixture(scope="module")
 def points():
-    graph = make_workload("degree-count", "KRON", scale=SCALE)
-    sort = make_workload("integer-sort", "U16", scale=SCALE)
+    graph = resolve("degree-count", "KRON", scale=SCALE)
+    sort = resolve("integer-sort", "U16", scale=SCALE)
     return [(graph, BASELINE), (graph, PB_SW), (sort, BASELINE)]
 
 
@@ -211,7 +207,7 @@ class TestResume:
         checkpoint.record(0, serial_results[0])
         checkpoint.record(2, serial_results[2])
 
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             runner,
             points,
             jobs=2,
@@ -267,7 +263,7 @@ class TestGracefulShutdown:
         checkpoint = SweepCheckpoint.attach(
             tmp_path, runner, points, telemetry=telemetry
         )
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             runner,
             points,
             jobs=1,
@@ -285,21 +281,20 @@ class TestGracefulShutdown:
     def test_run_many_raises_sweep_interrupted(self, tmp_path, points):
         runner = fresh_runner()
         checkpoint = SweepCheckpoint.attach(tmp_path, runner, points)
-        from repro.harness import faults
+        from repro.harness import parallel
 
-        original = faults.run_sweep_resilient
+        original = parallel.run_sweep
 
         def pre_latched(*args, **kwargs):
             kwargs["shutdown"] = _FakeShutdown()
             return original(*args, **kwargs)
 
-        faults_run = faults.run_sweep_resilient
         try:
-            faults.run_sweep_resilient = pre_latched
+            parallel.run_sweep = pre_latched
             with pytest.raises(SweepInterrupted, match="repro resume"):
                 runner.run_many(points, jobs=1, checkpoint=checkpoint)
         finally:
-            faults.run_sweep_resilient = faults_run
+            parallel.run_sweep = original
 
 
 _CHILD_SCRIPT = """
@@ -307,18 +302,15 @@ import sys
 
 from repro.harness import Runner
 from repro.harness.checkpoint import SweepCheckpoint
-from repro.harness.faults import (
-    FaultInjector,
-    FaultPolicy,
-    run_sweep_resilient,
-)
-from repro.harness.inputs import make_workload
+from repro.harness.faults import FaultInjector, FaultPolicy
 from repro.harness.modes import BASELINE, PB_SW
+from repro.harness.parallel import run_sweep
 from repro.harness.telemetry import JsonlTelemetry
+from repro.workloads.registry import resolve
 
 root, telemetry_path, state_dir = sys.argv[1:4]
-graph = make_workload("degree-count", "KRON", scale={scale})
-sort = make_workload("integer-sort", "U16", scale={scale})
+graph = resolve("degree-count", "KRON", scale={scale})
+sort = resolve("integer-sort", "U16", scale={scale})
 points = [(graph, BASELINE), (graph, PB_SW), (sort, BASELINE)]
 runner = Runner(max_sim_events=20_000)
 telemetry = JsonlTelemetry(telemetry_path)
@@ -331,7 +323,7 @@ injector = FaultInjector(
     stall_seconds=600.0,
     state_dir=state_dir,
 )
-outcome = run_sweep_resilient(
+outcome = run_sweep(
     runner,
     points,
     jobs=2,
@@ -390,7 +382,7 @@ class TestKilledParent:
         assert [
             (w.cache_key, m) for w, m in checkpoint.points()
         ] == [(w.cache_key, m) for w, m in points]
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             runner,
             points,
             jobs=2,
@@ -462,7 +454,7 @@ class TestHeartbeat:
         )
         telemetry = JsonlTelemetry(tmp_path / "telemetry.jsonl")
         started = time.monotonic()
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             fresh_runner(),
             points,
             jobs=2,
@@ -500,7 +492,7 @@ class TestHeartbeat:
             f"stall_seconds=600;state={tmp_path / 'state'}",
         )
         telemetry = RecordingTelemetry()
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             fresh_runner(),
             points,
             jobs=2,

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.harness import modes
-from repro.harness.inputs import make_workload
 from repro.harness.runner import DEFAULT_TRACE_CHUNK, Runner, _materialize_trace
+from repro.workloads.registry import resolve
 
 SCALE = 15
 
@@ -22,7 +22,7 @@ WORKLOADS = ("degree-count", "neighbor-populate")
 
 def _run(workload_name, mode, **runner_kwargs):
     runner = Runner(max_sim_events=20_000, **runner_kwargs)
-    workload = make_workload(workload_name, "KRON", scale=SCALE)
+    workload = resolve(workload_name, "KRON", scale=SCALE)
     return runner.run(workload, mode, use_cache=False)
 
 
@@ -50,7 +50,7 @@ class TestChunkedBitIdentity:
     def test_characterization_mode(self):
         runner_ref = Runner(max_sim_events=20_000, trace_chunk=0)
         runner_chk = Runner(max_sim_events=20_000, trace_chunk=501)
-        workload = make_workload("degree-count", "KRON", scale=SCALE)
+        workload = resolve("degree-count", "KRON", scale=SCALE)
         ref = runner_ref.run_characterization(workload, use_cache=False)
         chk = runner_chk.run_characterization(workload, use_cache=False)
         assert chk == ref
@@ -131,7 +131,7 @@ class TestChunkKnob:
 
     def test_chunking_absent_from_digest(self):
         # bit-identical results must share one cache entry across chunk sizes
-        workload = make_workload("degree-count", "KRON", scale=SCALE)
+        workload = resolve("degree-count", "KRON", scale=SCALE)
         digests = {
             Runner(max_sim_events=20_000, trace_chunk=chunk)._digest(
                 workload.cache_key, "baseline"

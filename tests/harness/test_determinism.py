@@ -8,14 +8,14 @@ prefixes. Regressions here would make EXPERIMENTS.md unverifiable.
 import pytest
 
 from repro.harness import BASELINE, COBRA, PB_SW, Runner
-from repro.harness.inputs import make_workload
+from repro.workloads.registry import resolve
 
 SCALE = 15
 
 
 @pytest.fixture(scope="module")
 def workload():
-    return make_workload("degree-count", "KRON", scale=SCALE)
+    return resolve("degree-count", "KRON", scale=SCALE)
 
 
 class TestRunnerDeterminism:
@@ -36,8 +36,8 @@ class TestRunnerDeterminism:
             assert a.traffic.writes == b.traffic.writes
 
     def test_inputs_are_seeded(self):
-        a = make_workload("pagerank", "URND", scale=SCALE)
-        b = make_workload("pagerank", "URND", scale=SCALE)
+        a = resolve("pagerank", "URND", scale=SCALE)
+        b = resolve("pagerank", "URND", scale=SCALE)
         assert a is b  # cached
         # And rebuilding from scratch gives the same stream.
         from repro.graphs import build_csr, uniform_random

@@ -1,7 +1,7 @@
 """Digest-stability pins across the registry refactor.
 
 The fixture ``data/digest_pins.json`` was captured from the pre-registry
-``make_workload`` ladder: the machine digest plus the baseline and COBRA
+workload constructor ladder: the machine digest plus the baseline and COBRA
 ``point_digest`` of all 23 canonical suite points at scale 13. The
 registry must reproduce every byte — these digests are the persistent
 result cache's keys and the identity golden entries are stored under, so

@@ -1,4 +1,4 @@
-"""Tests for the fault-tolerant sweep executor and fault injection."""
+"""Tests for the sweep executor's fault handling and fault injection."""
 
 import pytest
 
@@ -8,11 +8,11 @@ from repro.harness.faults import (
     FaultPolicy,
     PointFailure,
     SweepOutcome,
-    run_sweep_resilient,
 )
-from repro.harness.inputs import make_workload
 from repro.harness.modes import BASELINE, PB_SW
+from repro.harness.parallel import run_sweep
 from repro.harness.telemetry import JsonlTelemetry, read_events
+from repro.workloads.registry import resolve
 
 SCALE = 13
 
@@ -23,8 +23,8 @@ TIMEOUT = 30.0
 
 @pytest.fixture(scope="module")
 def points():
-    graph = make_workload("degree-count", "KRON", scale=SCALE)
-    sort = make_workload("integer-sort", "U16", scale=SCALE)
+    graph = resolve("degree-count", "KRON", scale=SCALE)
+    sort = resolve("integer-sort", "U16", scale=SCALE)
     return [(graph, BASELINE), (graph, PB_SW), (sort, BASELINE)]
 
 
@@ -47,7 +47,7 @@ def kill_injector(points, index, state_dir):
 
 class TestRecovery:
     def test_clean_sweep_matches_serial(self, points, serial_results):
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             fresh_runner(),
             points,
             jobs=2,
@@ -64,7 +64,7 @@ class TestRecovery:
         every point's counters arrive, in input order, bit-identical to
         the serial run."""
         telemetry = JsonlTelemetry(tmp_path / "t.jsonl")
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             fresh_runner(),
             points,
             jobs=2,
@@ -93,7 +93,7 @@ class TestRecovery:
             state_dir=str(tmp_path / "state"),
         )
         telemetry = JsonlTelemetry(tmp_path / "t.jsonl")
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             fresh_runner(),
             points,
             jobs=2,
@@ -118,7 +118,7 @@ class TestRecovery:
         its retries into a PointFailure — not an exception — while the
         healthy points still complete."""
         injector = kill_injector(points, 0, state_dir="")  # fires always
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             fresh_runner(),
             points,
             jobs=2,
@@ -140,27 +140,18 @@ class TestRecovery:
 
     def test_results_fold_back_into_memo(self, points):
         runner = fresh_runner()
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             runner, points, jobs=2, injector=FaultInjector()
         )
         for (workload, mode), counters in zip(points, outcome.results):
             assert runner.run(workload, mode) is counters
 
     def test_serial_jobs_one_never_raises(self, points, serial_results):
-        outcome = run_sweep_resilient(
+        outcome = run_sweep(
             fresh_runner(), points, jobs=1, injector=FaultInjector()
         )
         assert outcome.ok
         assert outcome.results == serial_results
-
-    def test_missing_cache_key_rejected(self):
-        class Anonymous:
-            name = "anon"
-
-        with pytest.raises(ValueError, match="cache_key"):
-            run_sweep_resilient(
-                fresh_runner(), [(Anonymous(), BASELINE)], jobs=2
-            )
 
 
 class TestRunManyIntegration:
@@ -183,6 +174,23 @@ class TestRunManyIntegration:
         )
         results = runner.run_many(points, jobs=2)
         assert results == serial_results
+
+    def test_worker_kill_without_fault_policy_recovers(
+        self, monkeypatch, tmp_path, points, serial_results
+    ):
+        """A plain parallel run_many (no fault policy) goes through the one
+        fault-tolerant executor: a worker killed once costs a retry, not
+        the sweep."""
+        workload, mode = points[1]
+        monkeypatch.setenv(
+            "REPRO_FAULT_INJECT",
+            f"kill={FaultInjector.token(workload.cache_key, mode)};"
+            f"state={tmp_path / 'state'}",
+        )
+        runner = Runner(max_sim_events=20_000)
+        assert runner.fault_policy is None
+        assert runner.run_many(points, jobs=2) == serial_results
+        assert any((tmp_path / "state").iterdir())  # the kill fired
 
     def test_fault_policy_clean_run_matches_plain_executor(
         self, points, serial_results

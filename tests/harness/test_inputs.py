@@ -1,8 +1,8 @@
-"""Tests for the standard input suite."""
+"""Tests for the standard input suite: the registry's loaders and factory."""
 
 import pytest
 
-from repro.harness.inputs import (
+from repro.workloads.registry import (
     GRAPH_NAMES,
     MATRIX_NAMES,
     WORKLOAD_INPUTS,
@@ -10,7 +10,7 @@ from repro.harness.inputs import (
     load_csr,
     load_graph,
     load_matrix,
-    make_workload,
+    resolve,
     workload_instances,
 )
 
@@ -49,18 +49,18 @@ class TestWorkloadFactory:
     @pytest.mark.parametrize("workload_name", sorted(WORKLOAD_INPUTS))
     def test_every_workload_instantiates(self, workload_name):
         input_name = WORKLOAD_INPUTS[workload_name][0]
-        workload = make_workload(workload_name, input_name, scale=SCALE)
+        workload = resolve(workload_name, input_name, scale=SCALE)
         assert workload.num_updates > 0
         assert workload.cache_key.startswith(workload_name)
 
     def test_instances_are_cached(self):
-        a = make_workload("degree-count", "KRON", scale=SCALE)
-        b = make_workload("degree-count", "KRON", scale=SCALE)
+        a = resolve("degree-count", "KRON", scale=SCALE)
+        b = resolve("degree-count", "KRON", scale=SCALE)
         assert a is b
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
-            make_workload("nope", "KRON", scale=SCALE)
+            resolve("nope", "KRON", scale=SCALE)
 
     def test_workload_instances_iterates_suite(self):
         triples = list(workload_instances(scale=SCALE))

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.harness import BASELINE, COBRA, PB_SW, Runner
-from repro.harness.inputs import make_workload
 from repro.harness.parallel import ParallelModel
+from repro.workloads.registry import resolve
 
 SCALE = 15
 
@@ -21,7 +21,7 @@ def model(runner):
 
 @pytest.fixture(scope="module")
 def workload():
-    return make_workload("pagerank", "KRON", scale=SCALE)
+    return resolve("pagerank", "KRON", scale=SCALE)
 
 
 class TestComponents:

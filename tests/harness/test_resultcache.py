@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.harness import Runner
-from repro.harness.inputs import make_workload
 from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.modes import BASELINE, CHARACTERIZATION, PB_SW
 from repro.harness.resultcache import (
@@ -21,13 +20,14 @@ from repro.harness.resultcache import (
     default_cache_dir,
     run_digest,
 )
+from repro.workloads.registry import resolve
 
 SCALE = 13
 
 
 @pytest.fixture()
 def workload():
-    return make_workload("degree-count", "KRON", scale=SCALE)
+    return resolve("degree-count", "KRON", scale=SCALE)
 
 
 def fresh_runner(tmp_path):
@@ -207,12 +207,12 @@ class TestDigestStrictness:
         script = (
             "import sys\n"
             "from repro.harness import Runner\n"
-            "from repro.harness.inputs import make_workload\n"
+            "from repro.workloads.registry import resolve\n"
             "from repro.harness.modes import BASELINE, PB_SW\n"
             "from repro.harness.resultcache import ResultCache\n"
             f"cache = ResultCache({str(tmp_path)!r})\n"
             "runner = Runner(max_sim_events=20_000, result_cache=cache)\n"
-            f"w = make_workload('degree-count', 'KRON', scale={SCALE})\n"
+            f"w = resolve('degree-count', 'KRON', scale={SCALE})\n"
             "runner.run(w, BASELINE)\n"
             "runner.run(w, PB_SW)\n"
             "print(cache.hits, cache.misses)\n"
@@ -401,11 +401,11 @@ class TestConcurrentAccess:
         script = (
             "import json, sys\n"
             "from repro.harness import Runner\n"
-            "from repro.harness.inputs import make_workload\n"
+            "from repro.workloads.registry import resolve\n"
             "from repro.harness.modes import BASELINE\n"
             "from repro.harness.resultcache import ResultCache,"
             " counters_to_dict, counters_from_dict\n"
-            f"w = make_workload('degree-count', 'KRON', scale={SCALE})\n"
+            f"w = resolve('degree-count', 'KRON', scale={SCALE})\n"
             "runner = Runner(max_sim_events=20_000)\n"
             "counters = runner.run(w, BASELINE, use_cache=False)\n"
             f"cache = ResultCache({str(tmp_path)!r})\n"

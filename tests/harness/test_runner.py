@@ -10,8 +10,8 @@ from repro.harness import (
     PHI,
     Runner,
 )
-from repro.harness.inputs import make_workload
 from repro.pb import BinSpec
+from repro.workloads.registry import resolve
 
 SCALE = 16
 
@@ -23,12 +23,12 @@ def runner():
 
 @pytest.fixture(scope="module")
 def degree_count(runner):
-    return make_workload("degree-count", "KRON", scale=SCALE)
+    return resolve("degree-count", "KRON", scale=SCALE)
 
 
 @pytest.fixture(scope="module")
 def neighbor_populate(runner):
-    return make_workload("neighbor-populate", "KRON", scale=SCALE)
+    return resolve("neighbor-populate", "KRON", scale=SCALE)
 
 
 class TestModes:
@@ -111,7 +111,7 @@ class TestRunWithSpec:
 
 class TestCharacterization:
     def test_intsort_characterization_differs_from_baseline(self, runner):
-        workload = make_workload("integer-sort", "U16", scale=SCALE)
+        workload = resolve("integer-sort", "U16", scale=SCALE)
         baseline = runner.run(workload, BASELINE)
         character = runner.run_characterization(workload)
         assert baseline.phase("main").irregular_service.total == 0

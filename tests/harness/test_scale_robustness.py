@@ -10,7 +10,7 @@ localize), which is itself part of the expected shape.
 import pytest
 
 from repro.harness import BASELINE, COBRA, PB_SW, Runner
-from repro.harness.inputs import make_workload
+from repro.workloads.registry import resolve
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +21,7 @@ def runner():
 class TestOrderingAcrossScales:
     @pytest.mark.parametrize("scale", [16, 17])
     def test_cobra_beats_pb_beats_baseline(self, runner, scale):
-        workload = make_workload("degree-count", "KRON", scale=scale)
+        workload = resolve("degree-count", "KRON", scale=scale)
         base = runner.run(workload, BASELINE).cycles
         pb = runner.run(workload, PB_SW).cycles
         cobra = runner.run(workload, COBRA).cycles
@@ -32,7 +32,7 @@ class TestOrderingAcrossScales:
         recover: PB's speedup at scale 17 exceeds its speedup at 15."""
 
         def pb_speedup(scale):
-            workload = make_workload("degree-count", "KRON", scale=scale)
+            workload = resolve("degree-count", "KRON", scale=scale)
             base = runner.run(workload, BASELINE).cycles
             return base / runner.run(workload, PB_SW).cycles
 
@@ -41,7 +41,7 @@ class TestOrderingAcrossScales:
     def test_cache_resident_inputs_gain_nothing(self, runner):
         """At scale 12 the 16 KB working set sits in the LLC: the baseline
         is already local and PB's binning tax has nothing to recover."""
-        workload = make_workload("degree-count", "KRON", scale=12)
+        workload = resolve("degree-count", "KRON", scale=12)
         base = runner.run(workload, BASELINE).cycles
         pb = runner.run(workload, PB_SW).cycles
         assert base / pb < 1.2
@@ -51,7 +51,7 @@ class TestOrderingAcrossScales:
         set size, so the ratio stays in a narrow band."""
         ratios = []
         for scale in (16, 17):
-            workload = make_workload("degree-count", "KRON", scale=scale)
+            workload = resolve("degree-count", "KRON", scale=scale)
             pb = runner.run(workload, PB_SW).cycles
             cobra = runner.run(workload, COBRA).cycles
             ratios.append(pb / cobra)

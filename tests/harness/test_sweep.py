@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep executor and engine selection."""
+"""Tests for the sweep executor, Runner.run_many, and engine selection."""
 
 import dataclasses
 
@@ -7,10 +7,10 @@ import pytest
 
 from repro.cache.coherence import DirectoryMESI
 from repro.harness import Runner
-from repro.harness.inputs import make_workload
 from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.modes import BASELINE, CHARACTERIZATION, COBRA, PB_SW
 from repro.harness.parallel import ParallelModel, run_sweep
+from repro.workloads.registry import resolve
 
 SCALE = 13
 
@@ -24,8 +24,8 @@ BATCHABLE_MACHINE = dataclasses.replace(
 
 @pytest.fixture(scope="module")
 def points():
-    graph = make_workload("degree-count", "KRON", scale=SCALE)
-    sort = make_workload("integer-sort", "U16", scale=SCALE)
+    graph = resolve("degree-count", "KRON", scale=SCALE)
+    sort = resolve("integer-sort", "U16", scale=SCALE)
     return [
         (graph, BASELINE),
         (graph, PB_SW),
@@ -52,6 +52,19 @@ class TestRunMany:
         assert runner.run(*points[0]) is results[0]
         assert runner.run(*points[1]) is results[1]
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_non_positive_jobs_rejected(self, points, jobs, tmp_path):
+        """jobs < 1 is an error on every path, with or without a
+        checkpoint, instead of silently running serially."""
+        from repro.harness.checkpoint import SweepCheckpoint
+
+        runner = Runner(max_sim_events=20_000)
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            runner.run_many(points[:2], jobs=jobs)
+        checkpoint = SweepCheckpoint.attach(tmp_path, runner, points[:2])
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            runner.run_many(points[:2], jobs=jobs, checkpoint=checkpoint)
+
     def test_jobs_one_is_serial(self, points):
         runner = Runner(max_sim_events=20_000)
         results = runner.run_many(points[:2], jobs=1)
@@ -59,7 +72,7 @@ class TestRunMany:
 
     def test_sweep_requires_cache_keys(self):
         runner = Runner(max_sim_events=20_000)
-        workload = make_workload("degree-count", "KRON", scale=SCALE)
+        workload = resolve("degree-count", "KRON", scale=SCALE)
 
         class Anonymous:
             name = "anon"
@@ -71,6 +84,8 @@ class TestRunMany:
 
         with pytest.raises(ValueError, match="cache_key"):
             run_sweep(runner, [(Anonymous(), BASELINE)], jobs=2)
+        with pytest.raises(ValueError, match="cache_key"):
+            runner.run_many([(Anonymous(), BASELINE)], jobs=2)
 
     def test_spawn_spec_roundtrip(self):
         runner = Runner(
@@ -93,10 +108,12 @@ class TestPoolSizing:
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", explode)
 
     def test_empty_points_short_circuit(self, monkeypatch):
-        """An empty sweep returns [] without touching the pool machinery."""
+        """An empty sweep returns no results without touching the pool
+        machinery."""
         self._forbid_pools(monkeypatch)
         runner = Runner(max_sim_events=20_000)
-        assert run_sweep(runner, [], jobs=8) == []
+        outcome = run_sweep(runner, [], jobs=8)
+        assert outcome.ok and outcome.results == []
         assert runner.run_many([], jobs=8) == []
 
     def test_jobs_clamped_to_point_count(self, monkeypatch, points):
@@ -114,17 +131,17 @@ class TestPoolSizing:
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
         serial = Runner(max_sim_events=20_000).run_many(points[:2])
-        results = run_sweep(
+        outcome = run_sweep(
             Runner(max_sim_events=20_000), points[:2], jobs=16
         )
         assert seen == [2]
-        assert results == serial
+        assert outcome.results == serial
 
     def test_single_point_sweep_runs_in_process(self, monkeypatch, points):
         """One point with many jobs clamps to the serial path: no pool."""
         self._forbid_pools(monkeypatch)
         runner = Runner(max_sim_events=20_000)
-        (result,) = run_sweep(runner, points[:1], jobs=8)
+        (result,) = run_sweep(runner, points[:1], jobs=8).results
         assert result.mode == points[0][1]
 
     def test_checkpoint_splices_and_journals(self, tmp_path, points):
@@ -137,8 +154,8 @@ class TestPoolSizing:
         checkpoint = SweepCheckpoint.attach(tmp_path, runner, points)
         checkpoint.record(0, serial[0])
         checkpoint.record(3, serial[3])
-        results = run_sweep(runner, points, jobs=2, checkpoint=checkpoint)
-        assert results == serial
+        outcome = run_sweep(runner, points, jobs=2, checkpoint=checkpoint)
+        assert outcome.results == serial
         assert sorted(checkpoint.completed_counters()) == [0, 1, 2, 3, 4]
         assert checkpoint.status == "completed"
 
@@ -147,7 +164,7 @@ class TestEngineSelection:
     def test_engines_agree_end_to_end(self):
         """Full-pipeline equivalence: the batched and scalar engines must
         produce identical phase counters on a batchable machine."""
-        workload = make_workload("degree-count", "KRON", scale=SCALE)
+        workload = resolve("degree-count", "KRON", scale=SCALE)
         fast = Runner(
             machine=BATCHABLE_MACHINE, max_sim_events=20_000, engine="fast"
         )

@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro.harness import Runner
-from repro.harness.inputs import make_workload
 from repro.harness.modes import BASELINE
 from repro.harness.resultcache import ResultCache
 from repro.harness.telemetry import (
@@ -17,6 +16,7 @@ from repro.harness.telemetry import (
     read_events,
     summarize,
 )
+from repro.workloads.registry import resolve
 
 SCALE = 13
 
@@ -113,7 +113,7 @@ class TestJsonlSink:
 
 class TestRunnerWiring:
     def test_run_emits_phase_and_engine_events(self, tmp_path):
-        workload = make_workload("degree-count", "KRON", scale=SCALE)
+        workload = resolve("degree-count", "KRON", scale=SCALE)
         sink = JsonlTelemetry(tmp_path / "t.jsonl")
         runner = Runner(max_sim_events=20_000, telemetry=sink)
         runner.run(workload, BASELINE)
@@ -129,7 +129,7 @@ class TestRunnerWiring:
         assert all(e["duration_s"] == e["seconds"] for e in timed)
 
     def test_cache_hits_and_misses_logged(self, tmp_path):
-        workload = make_workload("degree-count", "KRON", scale=SCALE)
+        workload = resolve("degree-count", "KRON", scale=SCALE)
         sink = JsonlTelemetry(tmp_path / "t.jsonl")
         cache = ResultCache(tmp_path / "cache")
         Runner(

@@ -7,8 +7,8 @@ import pytest
 from repro.harness.checkpoint import FORMAT_VERSION, runs_payload
 from repro.harness.resultcache import ResultCache, counters_to_dict
 from repro.harness.runner import Runner
-from repro.harness.inputs import make_workload
 from repro.service.jobqueue import AdmissionError, SweepService
+from repro.workloads.registry import resolve
 
 SCALE = 8
 GRAPH = {"point": f"degree-count:KRON:{SCALE}", "mode": "baseline"}
@@ -50,7 +50,7 @@ class TestExecution:
         expected = [
             counters_to_dict(
                 reference.run(
-                    make_workload("degree-count", "KRON", SCALE),
+                    resolve("degree-count", "KRON", SCALE),
                     spec["mode"],
                     use_cache=False,
                 )
@@ -177,7 +177,7 @@ class TestDrainRecover:
         expected = [
             counters_to_dict(
                 reference.run(
-                    make_workload(*name.split(":")[:2], int(SCALE)),
+                    resolve(*name.split(":")[:2], int(SCALE)),
                     spec["mode"],
                     use_cache=False,
                 )

@@ -71,6 +71,18 @@ class TestParser:
         assert args.no_cache is True
         assert args.heartbeat_timeout == 30.0
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_run_rejects_non_positive_jobs(self, jobs, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig04", "--jobs", jobs])
+        assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_resume_rejects_non_positive_jobs(self, jobs, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["resume", "1f2e3d4c5b6a", "--jobs", jobs])
+        assert "positive" in capsys.readouterr().err
+
     def test_report_accepts_telemetry_path(self):
         args = build_parser().parse_args(
             ["report", "--telemetry", "run.jsonl", "--slowest", "3"]
@@ -210,10 +222,10 @@ class TestCheckpointCommands:
         """Journal a two-point run under ``root``; return (id, results)."""
         from repro.harness import Runner
         from repro.harness.checkpoint import SweepCheckpoint
-        from repro.harness.inputs import make_workload
+        from repro.workloads.registry import resolve
         from repro.harness.modes import BASELINE, PB_SW
 
-        graph = make_workload("degree-count", "KRON", scale=13)
+        graph = resolve("degree-count", "KRON", scale=13)
         points = [(graph, BASELINE), (graph, PB_SW)]
         runner = Runner(max_sim_events=20_000)
         results = runner.run_many(points)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import CobraConfig
-from repro.harness.inputs import WORKLOAD_INPUTS, make_workload
 from repro.pb import BinSpec
+from repro.workloads.registry import WORKLOAD_INPUTS, resolve
 
 SCALE = 13
 
@@ -20,7 +20,7 @@ ALL_WORKLOADS = sorted(WORKLOAD_INPUTS)
 @pytest.fixture(scope="module")
 def workloads():
     return {
-        name: make_workload(name, WORKLOAD_INPUTS[name][0], scale=SCALE)
+        name: resolve(name, WORKLOAD_INPUTS[name][0], scale=SCALE)
         for name in ALL_WORKLOADS
     }
 

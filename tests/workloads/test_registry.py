@@ -6,8 +6,6 @@ cache keys, kind checking, fixed-scale datasets, and the static
 ``REGISTERED_CLASSES`` literal the lint rule parses.
 """
 
-import warnings
-
 import pytest
 
 from repro.workloads import registry
@@ -204,17 +202,6 @@ class TestListings:
 
 
 class TestCompatibilityShim:
-    def test_inputs_module_make_workload_warns_and_delegates(self):
-        from repro.harness import inputs
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            workload = inputs.make_workload("degree-count", "KRON", SCALE)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert workload is resolve("degree-count", "KRON", SCALE)
-
     def test_api_resolve_workload(self):
         from repro import api
 
