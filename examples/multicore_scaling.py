@@ -12,7 +12,7 @@ Run:  python examples/multicore_scaling.py
 from repro.api import resolve_workload
 from repro.cache import DirectoryMESI
 from repro.harness import BASELINE, COBRA, PB_SW, Runner
-from repro.harness.parallel import ParallelModel
+from repro.harness.experiments.scaling import ParallelModel
 from repro.harness.report import format_table
 
 

@@ -56,16 +56,6 @@ DIGEST_EXEMPT = {
         "injected faults abort attempts before counters exist; retried "
         "points produce identical counters (tests/harness/test_faults.py)"
     ),
-    "REPRO_GOLDEN_DIR": (
-        "chooses where golden-run entries live; entries are "
-        "content-addressed by machine digest + point + mode and replay "
-        "verifies them against per-point digests regardless of location"
-    ),
-    "REPRO_REPLAY_TIME_BAND": (
-        "tolerance band for the wall-clock columns of replay reports "
-        "only; simulated counters are compared bit-exact and never "
-        "scaled or filtered by it (tests/golden/test_replay.py)"
-    ),
     "REPRO_SERVICE_PORT": (
         "transport plumbing: selects where the sweep-service daemon "
         "listens; jobs execute through the same Runner and produce the "
@@ -89,8 +79,8 @@ DIGEST_EXEMPT = {
     ),
     "REPRO_REPLAY_PERTURB": (
         "fault-injection drill that perturbs only the in-memory copy "
-        "`repro replay` diffs; simulation, result caches, and golden "
-        "entries never see the perturbed counters "
+        "`repro replay` diffs; simulation, result caches, and the pin "
+        "file never see the perturbed counters "
         "(tests/golden/test_replay.py)"
     ),
 }

@@ -21,9 +21,8 @@ earlier PRs established informally:
 ``backend-pairing``
     Vector kernels keep their scalar reference path and an equivalence
     test referencing both; compiled-kernel modules (a ``kernels/``
-    package, ``@njit``/``@maybe_jit`` functions, or a declared
-    ``SCALAR_ORACLE``) name their scalar oracle and are equivalence-
-    tested against it.
+    package, or a declared ``SCALAR_ORACLE``) name their scalar oracle
+    and are equivalence-tested against it.
 ``nondet``
     Nondeterminism hazards: mutable default arguments, wall-clock reads
     and wall-clock *subtraction* in digest/journal and golden/replay
@@ -135,17 +134,13 @@ _BACKEND_PAIRS = (
 )
 
 #: Directory name marking a compiled-kernel package: every module inside
-#: one is held to the SCALAR_ORACLE contract even without jit decorators
-#: (the C tier, for instance, has no Python-visible kernel functions).
+#: one is held to the SCALAR_ORACLE contract (the C tier, for instance,
+#: has no Python-visible kernel functions).
 _KERNEL_PACKAGE_DIR = "kernels"
 
 #: Module attribute through which a compiled-kernel module names the
 #: scalar engine it is equivalence-tested against.
 _ORACLE_MARKER = "SCALAR_ORACLE"
-
-#: Decorators that mark a function as a compiled kernel (alias-resolved;
-#: matched on the trailing attribute so package-qualified imports count).
-_KERNEL_JIT_DECORATORS = frozenset({"maybe_jit", "njit", "numba.njit"})
 
 #: Initializer hooks documented as the one sanctioned way to reset
 #: per-process global state in pool workers.
@@ -674,30 +669,6 @@ def check_knob_registry(ctx: LintContext) -> Iterator[Finding]:
 # ------------------------------------------------------------------ #
 
 
-def _compiled_kernel_line(source: SourceFile) -> Optional[int]:
-    """Line of the first compiled-kernel marker in ``source``, else None.
-
-    A module is a compiled-kernel module when it defines a function
-    decorated with a jit decorator (``maybe_jit``/``njit``), or when it
-    lives inside a ``kernels/`` package directory.
-    """
-    aliases = _alias_map(source.tree)
-    for node in ast.walk(source.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for deco in node.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            name = _qualified(target, aliases) or _dotted(target)
-            if name is None:
-                continue
-            tail = name.rsplit(".", 1)[-1]
-            if name in _KERNEL_JIT_DECORATORS or tail in _KERNEL_JIT_DECORATORS:
-                return node.lineno
-    if _KERNEL_PACKAGE_DIR in source.rel.split("/")[:-1]:
-        return 1
-    return None
-
-
 def _module_str_constant(
     tree: ast.Module, name: str
 ) -> Tuple[Optional[str], Optional[int]]:
@@ -812,15 +783,15 @@ def check_backend_pairing(ctx: LintContext) -> Iterator[Finding]:
     for source in ctx.package_files():
         if source.rel.endswith("/__init__.py"):
             continue
-        kernel_line = _compiled_kernel_line(source)
+        in_kernels = _KERNEL_PACKAGE_DIR in source.rel.split("/")[:-1]
         oracle, oracle_line = _module_str_constant(source.tree, _ORACLE_MARKER)
-        if kernel_line is None and oracle is None:
+        if not in_kernels and oracle is None:
             continue
         if oracle is None:
             yield Finding(
                 rule="backend-pairing",
                 path=source.rel,
-                line=kernel_line,
+                line=1,
                 message=(
                     f"compiled-kernel module {source.rel} names no "
                     f"scalar oracle ({_ORACLE_MARKER} is missing)"
@@ -833,14 +804,12 @@ def check_backend_pairing(ctx: LintContext) -> Iterator[Finding]:
             )
             continue
         stem = source.rel.rsplit("/", 1)[-1][: -len(".py")]
-        anchors = [stem]
-        if _KERNEL_PACKAGE_DIR in source.rel.split("/")[:-1]:
-            anchors.append(_KERNEL_PACKAGE_DIR)
+        anchors = [stem, _KERNEL_PACKAGE_DIR] if in_kernels else [stem]
         if not any(ctx.tests_mentioning(oracle, a) for a in anchors):
             yield Finding(
                 rule="backend-pairing",
                 path=source.rel,
-                line=oracle_line or kernel_line or 1,
+                line=oracle_line or 1,
                 message=(
                     f"no test under tests/ references both the compiled-"
                     f"kernel module {stem!r} (or its kernels package) and "

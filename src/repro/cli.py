@@ -23,9 +23,9 @@ Usage::
     python -m repro lint                      # determinism static analysis
     python -m repro lint --json               # machine-readable findings
     python -m repro lint --baseline write     # regenerate lint_baseline.json
-    python -m repro capture                   # record golden canary runs
-    python -m repro replay                    # diff canary vs goldens
-    python -m repro replay --gate counters --report replay.json  # CI gate
+    python -m repro capture                   # re-record the counter pins
+    python -m repro replay                    # diff canary vs counter pins
+    python -m repro replay --report replay.json  # CI gate + artifact
     python -m repro report --replay replay.json  # render a saved report
     python -m repro trend                     # BENCH_*.json perf trajectory
 
@@ -568,80 +568,32 @@ def build_parser():
 
     capture_parser = commands.add_parser(
         "capture",
-        help="record golden canary runs for the perf-regression gate",
+        help="re-record the canary's counter pins",
         description=(
-            "Simulates the canary subset (degree-count/KRON under "
-            "baseline+cobra, integer-sort/U16 under baseline+pb-sw, and "
-            "the ingested csr-build/KARATE under baseline+cobra) fresh "
-            "and stores each result — full counter snapshot, result-cache "
-            "digest, honest wall-clock — as a content-addressed golden "
-            "entry keyed by machine digest + workload + mode. --spec "
-            "overrides the canary set with explicit points."
+            "Simulates every canary point fresh and rewrites the tracked "
+            "pin file (src/repro/golden/pins.json) with each point's run "
+            "digest and counters. An unchanged tree rewrites it "
+            "byte-identically; any other diff is a counter change to "
+            "review."
         ),
     )
     replay_parser = commands.add_parser(
         "replay",
-        help="re-run the canary and diff against the golden store",
+        help="re-run the canary and diff it against the counter pins",
         description=(
-            "Re-simulates every canary point and compares it to its "
-            "golden: counters bit-exactly, wall-clock within a relative "
-            "band ($REPRO_REPLAY_TIME_BAND / --time-band). Exits non-zero "
-            "when any point fails the selected gate; stale, missing, and "
-            "corrupt goldens are reported for recapture, never failed."
+            "Re-simulates every canary point and compares its counters "
+            "bit-exactly to its pin. Exits non-zero on counter drift, on "
+            "a missing pin, and on a stale pin (pinned digest differs "
+            "from the point's digest)."
         ),
     )
     for sub in (capture_parser, replay_parser):
         sub.add_argument(
-            "--scale",
-            type=int,
-            default=None,
-            help="log2 of the canary input namespace (default 13)",
-        )
-        sub.add_argument(
-            "--spec",
-            action="append",
-            default=None,
-            metavar="WORKLOAD/INPUT[@SCALE][:MODE]",
-            help=(
-                "override the canary set with explicit points (repeatable); "
-                "MODE defaults to baseline, e.g. degree-count/KRON@13:cobra"
-            ),
-        )
-        sub.add_argument(
-            "--golden-dir",
-            metavar="DIR",
-            default=None,
-            help=(
-                "golden store root (default: benchmarks/results/.golden/ "
-                "or $REPRO_GOLDEN_DIR)"
-            ),
-        )
-        sub.add_argument(
             "--telemetry",
             metavar="PATH",
             default=None,
-            help="append golden/replay events to a JSONL log at PATH",
+            help="append capture/replay events to a JSONL log at PATH",
         )
-    replay_parser.add_argument(
-        "--gate",
-        choices=["all", "counters"],
-        default="all",
-        help=(
-            "what fails the exit code: 'all' (counters and timing) or "
-            "'counters' (bit-identity only; timing excursions are "
-            "reported but do not gate — the CI merge-gate setting)"
-        ),
-    )
-    replay_parser.add_argument(
-        "--time-band",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "relative wall-clock drift tolerance (0.5 = ±50%%; default "
-            "$REPRO_REPLAY_TIME_BAND or 0.5)"
-        ),
-    )
     replay_parser.add_argument(
         "--report",
         metavar="PATH",
@@ -832,10 +784,9 @@ def _parse_point_arg(raw):
     }
 
 
-def _golden_wiring(args):
-    """Shared ``capture``/``replay`` wiring: runner, canary, store."""
+def _pin_wiring(args):
+    """Shared ``capture``/``replay`` wiring: runner, canary, telemetry."""
     from repro.golden.canary import canary_points
-    from repro.golden.store import GoldenStore
     from repro.harness.resultcache import ResultCache
     from repro.harness.runner import Runner
     from repro.harness.telemetry import NULL_TELEMETRY, JsonlTelemetry
@@ -845,33 +796,20 @@ def _golden_wiring(args):
     )
     # The cache is attached so canary simulation *writes through* (warm
     # for later runs), but capture/replay always simulate with
-    # use_cache=False — golden timing must come from honest runs.
+    # use_cache=False — a pin is only checked against a run that simulated.
     runner = Runner(result_cache=ResultCache(), telemetry=telemetry)
-    if getattr(args, "spec", None):
-        from repro.workloads.registry import resolve_point
-
-        points = []
-        for raw in args.spec:
-            entry = _parse_point_arg(raw)
-            points.append((resolve_point(entry["point"]), entry["mode"]))
-    else:
-        points = canary_points(scale=args.scale)
-    store = GoldenStore(directory=args.golden_dir, telemetry=telemetry)
-    return runner, points, store, telemetry
+    return runner, canary_points(), telemetry
 
 
 def _cmd_capture(print_fn, args):
-    from repro.golden.replay import capture_goldens
+    from repro.golden import replay
 
-    runner, points, store, telemetry = _golden_wiring(args)
-    entries = capture_goldens(runner, points, store, telemetry=telemetry)
-    for entry in entries:
-        print_fn(
-            f"captured {entry['point']} ({entry['mode']}): "
-            f"golden {entry['id']} in {entry['timing']['seconds']:.3f}s"
-        )
+    runner, points, telemetry = _pin_wiring(args)
+    pins = replay.capture_pins(runner, points, telemetry=telemetry)
+    for key in pins:
+        print_fn(f"pinned {key}")
     print_fn(
-        f"{len(entries)} golden(s) under {store.directory} "
+        f"{len(pins)} pin(s) in {replay.PINS_PATH} "
         f"(machine {runner.machine_digest()[:12]})"
     )
     return 0
@@ -880,14 +818,15 @@ def _cmd_capture(print_fn, args):
 def _cmd_replay(print_fn, args):
     import json
 
-    from repro.golden.replay import TolerancePolicy, replay_goldens
+    from repro.golden.replay import replay_pins
     from repro.harness.report import format_replay
 
-    runner, points, store, telemetry = _golden_wiring(args)
-    policy = TolerancePolicy.from_env(time_rel_band=args.time_band)
-    report = replay_goldens(
-        runner, points, store, policy=policy, telemetry=telemetry
-    )
+    runner, points, telemetry = _pin_wiring(args)
+    try:
+        report = replay_pins(runner, points, telemetry=telemetry)
+    except ValueError as exc:
+        print_fn(f"replay: {exc}")
+        return 2
     payload = report.as_dict()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -897,16 +836,7 @@ def _cmd_replay(print_fn, args):
         print_fn(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print_fn(format_replay(payload))
-        needs_capture = sum(
-            payload["summary"][bucket]
-            for bucket in ("stale", "missing", "corrupt")
-        )
-        if needs_capture:
-            print_fn(
-                f"  {needs_capture} point(s) need recapture: "
-                "`python -m repro capture`"
-            )
-    return 0 if report.ok(gate=args.gate) else 1
+    return 0 if report.ok() else 1
 
 
 def _cmd_trend(print_fn, args):

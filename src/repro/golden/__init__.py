@@ -1,19 +1,16 @@
-"""Golden-run capture/replay: the continuous perf-regression gate.
+"""Counter pins and the perf trajectory: the continuous regression gate.
 
 The paper's claims are counter-level and bit-exact — fig02–fig15 LLC miss
-rates, stall fractions, and the 7.4x/74x pipeline speedups — which makes
-them exactly the kind of output a golden store can gate durably instead
-of point-in-time. This package provides the four pieces:
+rates, stall fractions, and the 7.4x/74x pipeline speedups — so this
+package pins the counters of a small canary in one tracked file and gates
+every change on them. Three pieces:
 
-:mod:`repro.golden.store`
-    Versioned golden entries, content-addressed by machine digest +
-    workload + mode (the checkpoint layer's run-id derivation).
 :mod:`repro.golden.canary`
-    The small figure-suite subset captured and replayed on every PR.
+    The small figure-suite subset pinned by capture/replay.
 :mod:`repro.golden.replay`
-    ``repro capture`` / ``repro replay``: re-run the canary and diff with
-    an explicit two-tier tolerance policy — bit-exact counters,
-    configurable relative bands for wall-clock — into a structured
+    ``repro capture`` / ``repro replay``: record the canary's counters in
+    the tracked ``pins.json``, or re-run the canary and diff it against
+    the pins bit-exactly into a structured
     :class:`~repro.golden.replay.ReplayReport`.
 :mod:`repro.golden.trend`
     ``repro trend``: the per-figure perf trajectory over the accumulated
@@ -22,30 +19,27 @@ of point-in-time. This package provides the four pieces:
 
 from __future__ import annotations
 
-from repro.golden.canary import CANARY_SCALE, CANARY_SPECS, canary_points
+from repro.golden.canary import CANARY_SPECS, canary_points
 from repro.golden.replay import (
+    PINS_PATH,
     PointReport,
     ReplayReport,
-    TolerancePolicy,
-    capture_goldens,
-    replay_goldens,
+    capture_pins,
+    load_pins,
+    replay_pins,
 )
-from repro.golden.store import GoldenStore, default_golden_dir, golden_id
 from repro.golden.trend import bench_trend, format_trend, trend_metrics
 
 __all__ = [
-    "CANARY_SCALE",
     "CANARY_SPECS",
-    "GoldenStore",
+    "PINS_PATH",
     "PointReport",
     "ReplayReport",
-    "TolerancePolicy",
     "bench_trend",
     "canary_points",
-    "capture_goldens",
-    "default_golden_dir",
+    "capture_pins",
     "format_trend",
-    "golden_id",
-    "replay_goldens",
+    "load_pins",
+    "replay_pins",
     "trend_metrics",
 ]

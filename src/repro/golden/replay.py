@@ -1,88 +1,123 @@
-"""Capture golden runs and replay the canary against them.
+"""Capture the canary's counters into tracked pins and replay against them.
 
-The tolerance policy is deliberately two-tier, following the paper's own
-epistemology: simulated **counters are bit-exact** — the engines are
-equivalence-tested, serialization round-trips ints and float reprs
-exactly, so *any* counter drift is a regression (or an un-bumped format
-version), never noise — while **wall-clock is banded**, because timing on
-a shared CI runner legitimately wobbles. A replayed point therefore lands
-in exactly one bucket:
+``pins.json``, shipped as package data next to this module, holds one pin
+per canary point, keyed ``"<cache_key>|<mode>"``: the point's run digest
+(:meth:`~repro.harness.runner.Runner.point_digest`) and its counters
+(:func:`~repro.harness.resultcache.counters_to_dict` with the per-phase
+``engine`` tag stripped). Nothing else goes in — no timestamps, git SHA
+or wall-clock — so an unchanged tree captures a byte-identical file, and
+any counter change shows up as a reviewed diff of it.
+
+Counters are bit-exact: the engines are equivalence-tested, and
+serialization round-trips ints and float reprs exactly, so *any* drift is
+a regression, never noise. A replayed point lands in exactly one bucket:
 
 ``pass``
-    Counters bit-identical, timing inside the relative band.
+    Counters bit-identical to the pin.
 ``fail``
-    Counter drift (``failure="counters"``) or timing outside the band
-    (``failure="timing"``); per-field drift magnitudes are reported.
+    Counter drift; per-field drifts are reported.
 ``stale``
-    The golden exists but its machine/point digest no longer matches the
-    current configuration — the *comparison* is invalid, not the code;
-    reported distinctly so a machine change reads as "recapture", never
-    as a false regression.
-``missing`` / ``corrupt``
-    Never captured at this address / present but unreadable (skipped with
-    ``golden_corrupt`` telemetry, mirroring torn journal lines).
+    The pin's digest is not the point's digest on this runner: the
+    machine or a digested runner setting changed since capture.
+``missing``
+    No pin for the point.
+
+Only ``pass`` gates green. A stale or missing pin means the file no
+longer describes the canary; re-recording it is a reviewed change.
 
 ``REPRO_REPLAY_PERTURB`` is the gate's fault-injection drill: it adds an
 integer to the first phase's instruction count of every replayed result
 *after* simulation, inside the differ only, so CI can prove end to end
-that counter drift exits non-zero without ever corrupting caches or
-goldens.
+that counter drift exits non-zero without ever corrupting caches or pins.
 """
 
 from __future__ import annotations
 
-import time
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from repro.golden.store import FORMAT_VERSION, GoldenStore, golden_id
 from repro.harness import knobs
 from repro.harness.benchhistory import current_git_sha, iso_utc
+from repro.harness.checkpoint import _atomic_write_json
+from repro.harness.resultcache import counters_to_dict
 from repro.harness.telemetry import NULL_TELEMETRY
 
 __all__ = [
+    "PINS_PATH",
     "PointReport",
     "ReplayReport",
-    "TolerancePolicy",
-    "capture_goldens",
-    "replay_goldens",
+    "capture_pins",
+    "load_pins",
+    "pin_key",
+    "replay_pins",
+    "write_pins",
 ]
+
+#: The tracked pin file.
+PINS_PATH = Path(__file__).with_name("pins.json")
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_STALE = "stale"
 STATUS_MISSING = "missing"
-STATUS_CORRUPT = "corrupt"
+STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_STALE, STATUS_MISSING)
+
+#: The fields of every pin.
+_PIN_FIELDS = frozenset({"digest", "counters"})
 
 #: Cap on reported per-field drifts per point (the first drift already
 #: fails the gate; the cap keeps reports readable when everything moved).
 _MAX_DRIFTS = 16
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Explicit drift tolerances: counters exact, timing banded.
+def pin_key(cache_key, mode):
+    """The pin file key of one ``(workload, mode)`` point."""
+    return f"{cache_key}|{mode}"
 
-    ``time_rel_band`` is the allowed relative wall-clock drift in either
-    direction (0.5 = ±50%). There is deliberately no counter tolerance
-    field: bit-identity is the contract, and making it configurable would
-    let a gate silently rot.
-    """
 
-    time_rel_band: float = 0.5
-
-    def __post_init__(self):
-        if self.time_rel_band < 0:
+def _check_pins(pins, path):
+    if not isinstance(pins, dict):
+        raise ValueError(f"pin file {path} is not a JSON object")
+    for key, pin in pins.items():
+        if not isinstance(pin, dict) or set(pin) != _PIN_FIELDS:
             raise ValueError(
-                f"time_rel_band must be >= 0, got {self.time_rel_band}"
+                f"pin {key!r} in {path} must hold exactly "
+                f"{sorted(_PIN_FIELDS)}"
             )
 
-    @classmethod
-    def from_env(cls, time_rel_band=None):
-        """Policy from ``REPRO_REPLAY_TIME_BAND`` (explicit arg wins)."""
-        if time_rel_band is None:
-            raw = knobs.read("REPRO_REPLAY_TIME_BAND")
-            time_rel_band = float(raw) if raw else 0.5
-        return cls(time_rel_band=float(time_rel_band))
+
+def load_pins(path=None):
+    """The pins at ``path`` (default :data:`PINS_PATH`), ``{}`` if absent.
+
+    Raises :class:`ValueError` on an unreadable or malformed file.
+    """
+    path = Path(path) if path is not None else PINS_PATH
+    try:
+        text = path.read_text("utf-8")
+    except FileNotFoundError:
+        return {}
+    try:
+        pins = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"unreadable pin file {path}: {exc}") from None
+    _check_pins(pins, path)
+    return pins
+
+
+def write_pins(pins, path=None):
+    """Publish ``pins`` atomically with sorted keys and a final newline."""
+    path = Path(path) if path is not None else PINS_PATH
+    _check_pins(pins, path)
+    _atomic_write_json(path, pins)
+
+
+def _pin_counters(result):
+    """The pinned form of a run's counters: no per-phase engine tag."""
+    counters = counters_to_dict(result)
+    for phase in counters["phases"]:
+        del phase["engine"]
+    return counters
 
 
 @dataclass(frozen=True)
@@ -92,25 +127,15 @@ class PointReport:
     point: str
     mode: str
     status: str
-    #: ``"counters"`` or ``"timing"`` when ``status == "fail"``.
-    failure: str = None
-    #: Per-field counter drifts: ``{"field", "golden", "replay"}`` dicts.
+    #: Per-field counter drifts: ``{"field", "pinned", "replay"}`` dicts.
     counter_drift: tuple = ()
-    golden_seconds: float = None
-    replay_seconds: float = None
-    #: Relative wall-clock drift ((replay - golden) / golden).
-    time_drift: float = None
 
     def as_dict(self):
         return {
             "point": self.point,
             "mode": self.mode,
             "status": self.status,
-            "failure": self.failure,
             "counter_drift": list(self.counter_drift),
-            "golden_seconds": self.golden_seconds,
-            "replay_seconds": self.replay_seconds,
-            "time_drift": self.time_drift,
         }
 
 
@@ -119,7 +144,6 @@ class ReplayReport:
     """Structured outcome of one ``repro replay`` invocation."""
 
     machine_digest: str
-    policy: TolerancePolicy
     points: tuple = ()
     recorded: str = field(default=None, compare=False)
     git_sha: str = field(default=None, compare=False)
@@ -127,219 +151,124 @@ class ReplayReport:
     @property
     def summary(self):
         """Verdict counts, every bucket always present."""
-        counts = {
-            STATUS_PASS: 0,
-            STATUS_FAIL: 0,
-            STATUS_STALE: 0,
-            STATUS_MISSING: 0,
-            STATUS_CORRUPT: 0,
-        }
+        counts = dict.fromkeys(STATUSES, 0)
         for report in self.points:
             counts[report.status] += 1
         return counts
 
-    def failures(self, gate="all"):
-        """The failing points under ``gate`` (``"all"`` or ``"counters"``).
-
-        The CI merge gate uses ``"counters"``: bit-identity is
-        non-negotiable, while a timing excursion on a noisy runner is
-        surfaced in the report without blocking the merge.
-        """
-        if gate not in ("all", "counters"):
-            raise ValueError(f"unknown replay gate {gate!r}")
-        failing = [p for p in self.points if p.status == STATUS_FAIL]
-        if gate == "counters":
-            failing = [p for p in failing if p.failure == "counters"]
-        return failing
-
-    def ok(self, gate="all"):
-        """True when no point fails under ``gate`` (stale/missing/corrupt
-        points need recapture but are not regressions)."""
-        return not self.failures(gate)
+    def ok(self):
+        """True when every point's counters match its pin."""
+        return all(p.status == STATUS_PASS for p in self.points)
 
     def as_dict(self):
         return {
-            "version": FORMAT_VERSION,
             "machine_digest": self.machine_digest,
-            "policy": {"time_rel_band": self.policy.time_rel_band},
             "recorded": self.recorded,
             "git_sha": self.git_sha,
             "summary": self.summary,
             "ok": self.ok(),
-            "ok_counters": self.ok("counters"),
             "points": [p.as_dict() for p in self.points],
         }
 
 
-def _timed_run(runner, workload, mode):
-    """(RunResult, honest wall-clock seconds) for one fresh simulation.
+def capture_pins(runner, points, path=None, telemetry=None):
+    """Simulate ``points`` fresh and rewrite the pin file with them.
 
-    ``use_cache=False``: a golden's timing is only meaningful for a run
-    that actually simulated, and a replay that served counters from the
-    result cache would not exercise the code being gated.
+    ``use_cache=False``: a pin must come from a run that simulated, not
+    from counters the result cache served. Returns the pins written.
     """
-    start = time.perf_counter()
-    result = runner.run(workload, mode, use_cache=False)
-    return result, time.perf_counter() - start
-
-
-def capture_goldens(runner, points, store=None, telemetry=None):
-    """Record one golden entry per ``(workload, mode)`` point.
-
-    Returns the stored entries in point order. Capture always overwrites
-    the address: the golden is "the blessed result of this exact
-    configuration", and the address already changes whenever the
-    configuration does.
-    """
-    store = store if store is not None else GoldenStore()
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-    machine_digest = runner.machine_digest()
-    entries = []
+    pins = {}
     for workload, mode in points:
-        result, seconds = _timed_run(runner, workload, mode)
-        entry = {
-            "version": FORMAT_VERSION,
-            "id": golden_id(machine_digest, workload.cache_key, mode),
-            "machine_digest": machine_digest,
-            "point": workload.cache_key,
-            "mode": str(mode),
-            "digest": runner.point_digest(workload.cache_key, mode),
-            "counters": result.as_dict(),
-            "timing": {"seconds": seconds},
-            "recorded": iso_utc(),
-            "git_sha": current_git_sha(),
+        point = workload.cache_key
+        result = runner.run(workload, mode, use_cache=False)
+        digest = runner.point_digest(point, mode)
+        pins[pin_key(point, mode)] = {
+            "digest": digest,
+            "counters": _pin_counters(result),
         }
-        store.put(entry)
         telemetry.emit(
-            "golden_captured",
-            point=workload.cache_key,
-            mode=str(mode),
-            golden_id=entry["id"],
-            duration_s=seconds,
+            "golden_captured", point=point, mode=str(mode), digest=digest
         )
-        entries.append(entry)
-    return entries
+    write_pins(pins, path)
+    return pins
 
 
-def _diff_payload(golden, replay, path, out):
+def _diff_payload(pinned, replay, path, out):
     """Exact structural diff of two counter payloads (bounded)."""
     if len(out) >= _MAX_DRIFTS:
         return
-    if isinstance(golden, dict) and isinstance(replay, dict):
-        for key in sorted(set(golden) | set(replay)):
+    if isinstance(pinned, dict) and isinstance(replay, dict):
+        for key in sorted(set(pinned) | set(replay)):
             _diff_payload(
-                golden.get(key), replay.get(key), f"{path}.{key}", out
+                pinned.get(key), replay.get(key), f"{path}.{key}", out
             )
     elif (
-        isinstance(golden, list)
+        isinstance(pinned, list)
         and isinstance(replay, list)
-        and len(golden) == len(replay)
+        and len(pinned) == len(replay)
     ):
-        for index, (a, b) in enumerate(zip(golden, replay)):
+        for index, (a, b) in enumerate(zip(pinned, replay)):
             _diff_payload(a, b, f"{path}[{index}]", out)
-    elif golden != replay:
+    elif pinned != replay:
         # Exact comparison is the policy: ints are exact and float reprs
         # round-trip, so inequality here is drift, not representation.
-        out.append({"field": path.lstrip("."), "golden": golden, "replay": replay})
+        out.append(
+            {"field": path.lstrip("."), "pinned": pinned, "replay": replay}
+        )
 
 
-def _perturb_for_drill(counters):
-    """Apply the ``REPRO_REPLAY_PERTURB`` fault-injection drill.
-
-    Mutates (a copy of) the replayed counter payload the differ sees —
-    never the RunResult, the caches, or the golden — so the gate's
-    failure path can be exercised deterministically.
-    """
+def _perturb_delta():
+    """The ``REPRO_REPLAY_PERTURB`` drill's integer (0 when unset)."""
     raw = knobs.read("REPRO_REPLAY_PERTURB")
     if not raw:
-        return counters
+        return 0
     try:
-        delta = int(raw)
+        return int(raw)
     except ValueError:
         raise ValueError(
             f"REPRO_REPLAY_PERTURB must be an integer, got {raw!r}"
         ) from None
-    import copy
-
-    perturbed = copy.deepcopy(counters)
-    if perturbed.get("phases"):
-        perturbed["phases"][0]["instructions"] += delta
-    return perturbed
 
 
-def replay_goldens(runner, points, store=None, policy=None, telemetry=None):
-    """Re-run ``points`` and diff each against its golden entry."""
-    store = store if store is not None else GoldenStore()
-    policy = policy if policy is not None else TolerancePolicy.from_env()
+def replay_pins(runner, points, path=None, telemetry=None):
+    """Re-simulate ``points`` and diff each against its pin."""
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-    machine_digest = runner.machine_digest()
+    pins = load_pins(path)
+    delta = _perturb_delta()
     reports = []
     for workload, mode in points:
         point = workload.cache_key
-        entry, status = store.get(machine_digest, point, mode)
-        if entry is None:
-            if (
-                status == STATUS_MISSING
-                and store.find_point(point, mode) is not None
-            ):
-                # A golden for this point exists under a *different*
-                # machine/runner digest: the configuration drifted since
-                # capture. The comparison is invalid, the code is not
-                # wrong — stale, never fail.
-                status = STATUS_STALE
-            # missing/corrupt/stale: no valid comparison target; report
-            # and move on (capture refreshes the address).
-            report = PointReport(point=point, mode=str(mode), status=status)
-        elif (
-            entry["machine_digest"] != machine_digest
-            or entry["digest"] != runner.point_digest(point, mode)
-        ):
-            # The address matched but the recorded digests did not: the
-            # runner configuration changed under the same content hash
-            # inputs (e.g. a digest format bump). Invalid comparison —
-            # stale, not a regression.
-            report = PointReport(
-                point=point, mode=str(mode), status=STATUS_STALE
-            )
+        pin = pins.get(pin_key(point, mode))
+        drifts = []
+        if pin is None:
+            status = STATUS_MISSING
+        elif pin["digest"] != runner.point_digest(point, mode):
+            status = STATUS_STALE
         else:
-            result, seconds = _timed_run(runner, workload, mode)
-            replayed = _perturb_for_drill(result.as_dict())
-            drifts = []
-            _diff_payload(entry["counters"], replayed, "", drifts)
-            golden_seconds = float(entry["timing"]["seconds"])
-            time_drift = (
-                (seconds - golden_seconds) / golden_seconds
-                if golden_seconds > 0
-                else 0.0
-            )
-            if drifts:
-                status, failure = STATUS_FAIL, "counters"
-            elif abs(time_drift) > policy.time_rel_band:
-                status, failure = STATUS_FAIL, "timing"
-            else:
-                status, failure = STATUS_PASS, None
-            report = PointReport(
+            replayed = _pin_counters(runner.run(workload, mode, use_cache=False))
+            if delta and replayed["phases"]:
+                # The drill perturbs only this in-memory copy.
+                replayed["phases"][0]["instructions"] += delta
+            _diff_payload(pin["counters"], replayed, "", drifts)
+            status = STATUS_FAIL if drifts else STATUS_PASS
+        telemetry.emit(
+            "replay_point",
+            point=point,
+            mode=str(mode),
+            status=status,
+            drifts=len(drifts),
+        )
+        reports.append(
+            PointReport(
                 point=point,
                 mode=str(mode),
                 status=status,
-                failure=failure,
                 counter_drift=tuple(drifts),
-                golden_seconds=golden_seconds,
-                replay_seconds=seconds,
-                time_drift=time_drift,
             )
-        telemetry.emit(
-            "replay_point",
-            point=report.point,
-            mode=report.mode,
-            status=report.status,
-            failure=report.failure,
-            time_drift=report.time_drift,
         )
-        reports.append(report)
     return ReplayReport(
-        machine_digest=machine_digest,
-        policy=policy,
+        machine_digest=runner.machine_digest(),
         points=tuple(reports),
         recorded=iso_utc(),
         git_sha=current_git_sha(),

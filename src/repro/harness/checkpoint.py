@@ -103,19 +103,19 @@ def _atomic_write_json(path, payload):
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, indent=2))
+        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
 
 
 def content_id(payload, length=12):
-    """Deterministic short id of a JSON-safe payload (sweep/golden ids).
+    """Deterministic short id of a JSON-safe payload (sweep/job ids).
 
     The canonical serialization (sorted keys) makes the id content-addressed:
     identical payloads — machine digest plus point specs — always map to the
     same id, in any process, ever. Shared by :meth:`SweepCheckpoint.attach`
-    and the golden-run store (:mod:`repro.golden.store`).
+    and the sweep service's job ids (:mod:`repro.service.jobqueue`).
     """
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:length]

@@ -77,25 +77,6 @@ KNOBS: Mapping[str, Knob] = {
             "verified against per-point digests on resume",
         ),
         _knob(
-            "REPRO_GOLDEN_DIR",
-            None,
-            "Golden-run store root override (default: the in-repo "
-            "benchmarks/results/.golden/, or the XDG user cache for "
-            "installed copies).",
-            "chooses where golden entries live; entries are "
-            "content-addressed by machine digest + point + mode and "
-            "verified against per-point digests on replay",
-        ),
-        _knob(
-            "REPRO_REPLAY_TIME_BAND",
-            "0.5",
-            "Relative wall-clock tolerance band for `repro replay` timing "
-            "comparisons (0.5 = ±50%); counters are always compared "
-            "bit-exact regardless of this knob.",
-            "applies only to the wall-clock columns of replay reports; "
-            "simulated counters are never scaled or filtered by it",
-        ),
-        _knob(
             "REPRO_REPLAY_PERTURB",
             None,
             "Fault-injection drill for the replay gate: an integer added "
@@ -103,7 +84,7 @@ KNOBS: Mapping[str, Knob] = {
             "result before diffing, so CI can prove counter drift fails "
             "loudly.",
             "perturbs only the in-memory copy diffed by `repro replay`; "
-            "simulation, caches, and golden entries never see the "
+            "simulation, caches, and the pin file never see the "
             "perturbed counters (tests/golden/test_replay.py)",
         ),
         _knob(

@@ -63,50 +63,44 @@ def format_replay(payload):
     --replay saved.json`` renders an artifact from another machine/CI run
     identically to a live ``repro replay``.
     """
-    rows = []
-    for point in payload.get("points", []):
-        drift = point.get("time_drift")
-        rows.append(
-            [
-                str(point.get("point")),
-                str(point.get("mode")),
-                str(point.get("status")),
-                str(point.get("failure") or "-"),
-                "-" if drift is None else f"{drift:+.1%}",
-                str(len(point.get("counter_drift", []))),
-            ]
-        )
+    buckets = ("pass", "fail", "stale", "missing")
+    rows = [
+        [
+            str(point.get("point")),
+            str(point.get("mode")),
+            str(point.get("status")),
+            str(len(point.get("counter_drift", []))),
+        ]
+        for point in payload.get("points", [])
+    ]
     summary = payload.get("summary", {})
-    band = payload.get("policy", {}).get("time_rel_band")
     lines = [
         format_table(
-            ["point", "mode", "status", "failure", "time drift", "drifts"],
+            ["point", "mode", "status", "drifts"],
             rows,
             title=(
-                f"Replay vs golden (machine "
-                f"{str(payload.get('machine_digest'))[:12]}, "
-                f"time band ±{band:.0%})"
-                if band is not None
-                else "Replay vs golden"
+                f"Replay vs counter pins (machine "
+                f"{str(payload.get('machine_digest'))[:12]})"
             ),
         ),
-        "  "
-        + "  ".join(
-            f"{bucket} {summary.get(bucket, 0)}"
-            for bucket in ("pass", "fail", "stale", "missing", "corrupt")
-        ),
+        "  " + "  ".join(f"{b} {summary.get(b, 0)}" for b in buckets),
     ]
     for point in payload.get("points", []):
         for drift in point.get("counter_drift", []):
             lines.append(
                 f"  COUNTER DRIFT {point.get('point')} ({point.get('mode')}) "
-                f"{drift.get('field')}: golden={drift.get('golden')!r} "
+                f"{drift.get('field')}: pinned={drift.get('pinned')!r} "
                 f"replay={drift.get('replay')!r}"
             )
-    verdict = (
-        "counters bit-identical"
-        if payload.get("ok_counters")
-        else "COUNTER DRIFT DETECTED"
-    )
+    out_of_date = summary.get("stale", 0) + summary.get("missing", 0)
+    if summary.get("fail"):
+        verdict = "COUNTER DRIFT DETECTED"
+    elif out_of_date:
+        verdict = (
+            f"{out_of_date} pin(s) stale or missing: re-record with "
+            "`python -m repro capture` and name the cause in CHANGES.md"
+        )
+    else:
+        verdict = "counters bit-identical"
     lines.append(f"  gate: {verdict}")
     return "\n".join(lines)

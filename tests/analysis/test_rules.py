@@ -347,14 +347,6 @@ class TestBackendPairing:
         assert lint_findings(root, "backend-pairing") == []
 
 
-JIT_KERNEL = """\
-    from repro.cache.kernels import maybe_jit
-
-    @maybe_jit
-    def replay(stream):
-        return stream
-    """
-
 ORACLE_KERNEL = """\
     SCALAR_ORACLE = "FastEngine"
 
@@ -370,29 +362,6 @@ class TestCompiledKernelPairing:
         root = mini_tree(
             {
                 "src/repro/cache/kernels/fancy.py": """\
-                    def replay(stream):
-                        return stream
-                    """
-            }
-        )
-        findings = lint_findings(root, "backend-pairing")
-        assert len(findings) == 1
-        assert "names no scalar oracle" in findings[0].message
-
-    def test_jit_decorated_module_without_oracle_flagged(self, mini_tree):
-        """@maybe_jit marks a kernel module wherever it lives."""
-        root = mini_tree({"src/repro/cpu/hotloop.py": JIT_KERNEL})
-        findings = lint_findings(root, "backend-pairing")
-        assert len(findings) == 1
-        assert "names no scalar oracle" in findings[0].message
-
-    def test_njit_call_decorator_recognized(self, mini_tree):
-        root = mini_tree(
-            {
-                "src/repro/cpu/hotloop.py": """\
-                    import numba
-
-                    @numba.njit(cache=True)
                     def replay(stream):
                         return stream
                     """
@@ -451,7 +420,7 @@ class TestCompiledKernelPairing:
 
     def test_self_declared_oracle_enforced_outside_kernels(self, mini_tree):
         """A module that declares SCALAR_ORACLE opts into the contract
-        even without jit decorators (a standalone fast-path module)."""
+        outside a kernels/ package (a standalone fast-path module)."""
         root = mini_tree({"src/repro/des/flat.py": ORACLE_KERNEL})
         findings = lint_findings(root, "backend-pairing")
         assert len(findings) == 1

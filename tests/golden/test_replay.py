@@ -1,261 +1,202 @@
-"""Tests for the replay tolerance policy and verdict buckets."""
+"""Tests for counter-pin capture/replay and its verdict buckets."""
 
 import json
 
 import pytest
 
+from repro.golden.canary import canary_points
 from repro.golden.replay import (
-    STATUS_CORRUPT,
+    PINS_PATH,
     STATUS_FAIL,
     STATUS_MISSING,
     STATUS_PASS,
     STATUS_STALE,
-    PointReport,
-    ReplayReport,
-    TolerancePolicy,
-    capture_goldens,
-    replay_goldens,
+    STATUSES,
+    capture_pins,
+    load_pins,
+    pin_key,
+    replay_pins,
 )
-from repro.golden.store import GoldenStore
+from repro.harness import Runner
 
-from .conftest import RecordingTelemetry, fresh_runner
-
-
-def wide_policy():
-    """A band no honest re-run on any machine can fall outside."""
-    return TolerancePolicy(time_rel_band=1e9)
+from .conftest import fresh_runner
 
 
-def tamper(store, entry, mutate):
-    """Rewrite one stored golden after applying ``mutate`` to its body."""
-    body = json.loads(store.path_for(entry["id"]).read_text("utf-8"))
-    mutate(body)
-    store.path_for(entry["id"]).write_text(json.dumps(body), "utf-8")
+def tamper(path, key, mutate):
+    """Rewrite the pin file at ``path`` after applying ``mutate`` to the
+    pins (``key`` names the pin the mutation targets)."""
+    pins = json.loads(path.read_text("utf-8"))
+    mutate(pins, key)
+    path.write_text(json.dumps(pins), "utf-8")
 
 
-class TestPolicy:
-    def test_negative_band_rejected(self):
-        with pytest.raises(ValueError, match="time_rel_band"):
-            TolerancePolicy(time_rel_band=-0.1)
+def _bump_counter(pins, key):
+    pins[key]["counters"]["phases"][0]["instructions"] += 1
 
-    def test_from_env_reads_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_TIME_BAND", "0.25")
-        assert TolerancePolicy.from_env().time_rel_band == 0.25
 
-    def test_explicit_band_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_TIME_BAND", "0.25")
-        assert TolerancePolicy.from_env(0.75).time_rel_band == 0.75
+def _wrong_digest(pins, key):
+    pins[key]["digest"] = "0" * 64
 
-    def test_default_band(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLAY_TIME_BAND", raising=False)
-        assert TolerancePolicy.from_env().time_rel_band == 0.5
+
+def _remove(pins, key):
+    del pins[key]
+
+
+class TestTrackedPins:
+    """The tracked ``pins.json`` gates a clean clone with no capture step."""
+
+    @pytest.fixture(scope="class")
+    def tracked(self):
+        return canary_points(), load_pins()
+
+    def test_pins_cover_exactly_the_canary(self, tracked):
+        points, pins = tracked
+        keys = [pin_key(w.cache_key, mode) for w, mode in points]
+        assert len(set(keys)) == len(keys)
+        assert sorted(keys) == sorted(pins)
+
+    def test_canary_replays_bit_identical_on_default_runner(self, tracked):
+        points, _ = tracked
+        # Pins are digest-bound to the default Runner's sample budgets.
+        report = replay_pins(Runner(), points)
+        assert [p.status for p in report.points] == [STATUS_PASS] * len(
+            points
+        )
+        assert report.ok()
+
+    def test_pins_hold_no_engine_tag_or_provenance(self, tracked):
+        _, pins = tracked
+        text = PINS_PATH.read_text("utf-8")
+        assert text.endswith("}\n")
+        for pin in pins.values():
+            assert set(pin) == {"digest", "counters"}
+            for phase in pin["counters"]["phases"]:
+                assert "engine" not in phase
 
 
 class TestCaptureReplayCycle:
     def test_honest_replay_passes(self, tmp_path, points, telemetry):
-        store = GoldenStore(tmp_path, telemetry=telemetry)
-        entries = capture_goldens(
-            fresh_runner(), points, store, telemetry=telemetry
-        )
-        assert len(entries) == len(points)
+        path = tmp_path / "pins.json"
+        pins = capture_pins(fresh_runner(), points, path, telemetry=telemetry)
+        assert len(pins) == len(points)
         assert len(telemetry.of("golden_captured")) == len(points)
 
-        report = replay_goldens(
-            fresh_runner(), points, store, policy=wide_policy(),
-            telemetry=telemetry,
-        )
+        report = replay_pins(fresh_runner(), points, path, telemetry=telemetry)
         assert [p.status for p in report.points] == [STATUS_PASS] * len(
             points
         )
-        assert report.ok() and report.ok("counters")
+        assert report.ok()
         assert report.summary[STATUS_PASS] == len(points)
-        assert len(telemetry.of("replay_point")) == len(points)
+        replayed = telemetry.of("replay_point")
+        assert [e["drifts"] for e in replayed] == [0] * len(points)
 
     def test_capture_records_digests_and_counters(self, tmp_path, points):
         runner = fresh_runner()
-        entries = capture_goldens(runner, points, GoldenStore(tmp_path))
-        for (workload, mode), entry in zip(points, entries):
-            assert entry["machine_digest"] == runner.machine_digest()
-            assert entry["digest"] == runner.point_digest(
+        pins = capture_pins(runner, points, tmp_path / "pins.json")
+        for workload, mode in points:
+            pin = pins[pin_key(workload.cache_key, mode)]
+            assert pin["digest"] == runner.point_digest(
                 workload.cache_key, mode
             )
-            assert entry["counters"]["phases"]
-            assert entry["timing"]["seconds"] > 0
+            assert pin["counters"]["phases"]
+        assert load_pins(tmp_path / "pins.json") == pins
+
+    def test_two_captures_are_byte_identical(self, tmp_path, points):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        capture_pins(fresh_runner(), points, first)
+        capture_pins(fresh_runner(), list(reversed(points)), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_counter_mismatch_fails(self, tmp_path, points):
-        store = GoldenStore(tmp_path)
-        entries = capture_goldens(fresh_runner(), points, store)
-
-        def corrupt_counters(body):
-            body["counters"]["phases"][0]["instructions"] += 1
-
-        tamper(store, entries[0], corrupt_counters)
-        report = replay_goldens(
-            fresh_runner(), points, store, policy=wide_policy()
-        )
+        path = tmp_path / "pins.json"
+        capture_pins(fresh_runner(), points, path)
+        workload, mode = points[0]
+        tamper(path, pin_key(workload.cache_key, mode), _bump_counter)
+        report = replay_pins(fresh_runner(), points, path)
         first, second = report.points
         assert first.status == STATUS_FAIL
-        assert first.failure == "counters"
         (drift,) = first.counter_drift
         assert drift["field"] == "phases[0].instructions"
-        assert drift["golden"] == drift["replay"] + 1
+        assert drift["pinned"] == drift["replay"] + 1
         assert second.status == STATUS_PASS
-        assert not report.ok() and not report.ok("counters")
+        assert not report.ok()
 
-    def test_timing_inside_band_passes(self, tmp_path, points):
-        store = GoldenStore(tmp_path)
-        capture_goldens(fresh_runner(), points, store)
-        report = replay_goldens(
-            fresh_runner(), points, store, policy=wide_policy()
-        )
-        assert all(p.status == STATUS_PASS for p in report.points)
-        assert all(p.time_drift is not None for p in report.points)
-
-    def test_timing_outside_band_fails_timing_only(self, tmp_path, points):
-        store = GoldenStore(tmp_path)
-        entries = capture_goldens(fresh_runner(), points, store)
-        # An absurd golden wall-clock forces drift ~ -100%, far outside
-        # any reasonable band, without touching counters.
-        for entry in entries:
-            tamper(
-                store, entry, lambda body: body["timing"].update(
-                    seconds=1e6
-                )
-            )
-        report = replay_goldens(
-            fresh_runner(), points, store,
-            policy=TolerancePolicy(time_rel_band=0.5),
-        )
-        assert all(p.status == STATUS_FAIL for p in report.points)
-        assert all(p.failure == "timing" for p in report.points)
-        assert all(not p.counter_drift for p in report.points)
-        # Timing excursions fail the full gate but never the CI
-        # counters-only merge gate.
-        assert not report.ok("all")
-        assert report.ok("counters")
+    @pytest.mark.parametrize(
+        "mutate, status",
+        [
+            (_bump_counter, STATUS_FAIL),
+            (_wrong_digest, STATUS_STALE),
+            (_remove, STATUS_MISSING),
+        ],
+        ids=["mutated-counter", "wrong-digest", "removed-pin"],
+    )
+    def test_tampered_pin_fails_the_gate(self, tmp_path, points, mutate, status):
+        path = tmp_path / "pins.json"
+        capture_pins(fresh_runner(), points, path)
+        workload, mode = points[1]
+        tamper(path, pin_key(workload.cache_key, mode), mutate)
+        report = replay_pins(fresh_runner(), points, path)
+        assert [p.status for p in report.points] == [STATUS_PASS, status]
+        assert not report.ok()
 
 
 class TestStaleAndMissing:
     def test_machine_drift_reports_stale_not_fail(self, tmp_path, points):
-        store = GoldenStore(tmp_path)
-        capture_goldens(fresh_runner(), points, store)
-        # A different runner configuration changes the machine digest: the
-        # comparison is invalid, the code is not wrong.
+        path = tmp_path / "pins.json"
+        capture_pins(fresh_runner(), points, path)
+        # A different runner configuration changes every point digest:
+        # the comparison is invalid, so the pins are stale — and a stale
+        # pin fails the gate until it is re-recorded.
         drifted = fresh_runner(max_sim_events=10_000)
-        report = replay_goldens(drifted, points, store, policy=wide_policy())
+        report = replay_pins(drifted, points, path)
         assert [p.status for p in report.points] == [STATUS_STALE] * len(
             points
         )
         assert report.summary[STATUS_STALE] == len(points)
         assert report.summary[STATUS_FAIL] == 0
-        assert report.ok() and report.ok("counters")
+        assert not report.ok()
 
     def test_empty_store_reports_missing(self, tmp_path, points):
-        report = replay_goldens(
-            fresh_runner(), points, GoldenStore(tmp_path),
-            policy=wide_policy(),
-        )
+        report = replay_pins(fresh_runner(), points, tmp_path / "absent.json")
         assert [p.status for p in report.points] == [STATUS_MISSING] * len(
             points
         )
-        # Bootstrap semantics: a repo with no goldens yet gates green.
-        assert report.ok() and report.ok("counters")
-
-    def test_corrupt_golden_skipped_with_telemetry(
-        self, tmp_path, points, telemetry
-    ):
-        store = GoldenStore(tmp_path, telemetry=telemetry)
-        entries = capture_goldens(fresh_runner(), points, store)
-        store.path_for(entries[0]["id"]).write_text("torn{", "utf-8")
-        report = replay_goldens(
-            fresh_runner(), points, store, policy=wide_policy(),
-            telemetry=telemetry,
-        )
-        first, second = report.points
-        assert first.status == STATUS_CORRUPT
-        assert second.status == STATUS_PASS
-        assert telemetry.of("golden_corrupt")
-        assert report.ok() and report.ok("counters")
+        # No pins is no gate: a missing pin fails, it never bootstraps.
+        assert not report.ok()
 
 
 class TestPerturbDrill:
-    def test_perturbation_fails_the_gate(
-        self, tmp_path, points, monkeypatch
-    ):
-        store = GoldenStore(tmp_path)
-        entries = capture_goldens(fresh_runner(), points, store)
+    def test_perturbation_fails_the_gate(self, tmp_path, points, monkeypatch):
+        path = tmp_path / "pins.json"
+        pins = capture_pins(fresh_runner(), points, path)
         monkeypatch.setenv("REPRO_REPLAY_PERTURB", "7")
-        report = replay_goldens(
-            fresh_runner(), points, store, policy=wide_policy()
-        )
+        report = replay_pins(fresh_runner(), points, path)
         assert all(p.status == STATUS_FAIL for p in report.points)
-        assert all(p.failure == "counters" for p in report.points)
         for point in report.points:
             (drift,) = point.counter_drift
             assert drift["field"] == "phases[0].instructions"
-            assert drift["replay"] - drift["golden"] == 7
-        # The drill perturbs only the differ's copy: stored goldens are
+            assert drift["replay"] - drift["pinned"] == 7
+        # The drill perturbs only the differ's copy: the pins are
         # untouched and an unperturbed replay still passes.
         monkeypatch.delenv("REPRO_REPLAY_PERTURB")
-        for entry in entries:
-            stored, status = store.get(
-                entry["machine_digest"], entry["point"], entry["mode"]
-            )
-            assert status == GoldenStore.STATUS_OK
-            assert stored == entry
-        clean = replay_goldens(
-            fresh_runner(), points, store, policy=wide_policy()
-        )
-        assert clean.ok()
+        assert load_pins(path) == pins
+        assert replay_pins(fresh_runner(), points, path).ok()
 
-    def test_non_integer_perturb_rejected(
-        self, tmp_path, points, monkeypatch
-    ):
-        store = GoldenStore(tmp_path)
-        capture_goldens(fresh_runner(), points, store)
+    def test_non_integer_perturb_rejected(self, tmp_path, points, monkeypatch):
+        path = tmp_path / "pins.json"
+        capture_pins(fresh_runner(), points, path)
         monkeypatch.setenv("REPRO_REPLAY_PERTURB", "lots")
         with pytest.raises(ValueError, match="REPRO_REPLAY_PERTURB"):
-            replay_goldens(
-                fresh_runner(), points, store, policy=wide_policy()
-            )
+            replay_pins(fresh_runner(), points, path)
 
 
 class TestReportShape:
     def test_as_dict_is_json_roundtrippable(self, tmp_path, points):
-        store = GoldenStore(tmp_path)
-        capture_goldens(fresh_runner(), points, store)
-        report = replay_goldens(
-            fresh_runner(), points, store, policy=wide_policy()
-        )
+        path = tmp_path / "pins.json"
+        capture_pins(fresh_runner(), points, path)
+        report = replay_pins(fresh_runner(), points, path)
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["ok"] is True
-        assert payload["ok_counters"] is True
         assert payload["machine_digest"] == report.machine_digest
         assert len(payload["points"]) == len(points)
-        assert set(payload["summary"]) == {
-            STATUS_PASS,
-            STATUS_FAIL,
-            STATUS_STALE,
-            STATUS_MISSING,
-            STATUS_CORRUPT,
-        }
-
-    def test_unknown_gate_rejected(self):
-        report = ReplayReport(machine_digest="m", policy=TolerancePolicy())
-        with pytest.raises(ValueError, match="gate"):
-            report.failures("vibes")
-
-    def test_counters_gate_filters_timing_failures(self):
-        timing = PointReport(
-            point="p", mode="baseline", status=STATUS_FAIL, failure="timing"
-        )
-        counters = PointReport(
-            point="q", mode="cobra", status=STATUS_FAIL, failure="counters"
-        )
-        report = ReplayReport(
-            machine_digest="m",
-            policy=TolerancePolicy(),
-            points=(timing, counters),
-        )
-        assert report.failures("all") == [timing, counters]
-        assert report.failures("counters") == [counters]
+        assert set(payload["summary"]) == set(STATUSES)

@@ -1,163 +1,96 @@
-"""Tests for the content-addressed golden-run store."""
+"""Tests for the pin file: its keys, its format, and malformed files."""
 
 import json
 
 import pytest
 
-from repro.golden.store import (
-    FORMAT_VERSION,
-    GoldenStore,
-    default_golden_dir,
-    golden_id,
+from repro.golden.replay import (
+    STATUS_PASS,
+    STATUS_STALE,
+    capture_pins,
+    load_pins,
+    pin_key,
+    replay_pins,
+    write_pins,
 )
+from repro.harness.modes import BASELINE, COBRA
 
-from .conftest import RecordingTelemetry
+from .conftest import fresh_runner
 
 
-def make_entry(machine="m1", point="w:IN:13", mode="baseline", **overrides):
-    entry = {
-        "version": FORMAT_VERSION,
-        "id": golden_id(machine, point, mode),
-        "machine_digest": machine,
-        "point": point,
-        "mode": mode,
-        "digest": "d" * 16,
-        "counters": {"cycles": 100, "phases": [{"instructions": 10}]},
-        "timing": {"seconds": 0.25},
+def pin(instructions=1):
+    return {
+        "digest": "d" * 64,
+        "counters": {"phases": [{"name": "main", "instructions": instructions}]},
     }
-    entry.update(overrides)
-    return entry
 
 
 class TestAddressing:
     def test_golden_id_is_content_addressed(self):
-        one = golden_id("m1", "w:IN:13", "baseline")
-        assert golden_id("m1", "w:IN:13", "baseline") == one
-        assert golden_id("m2", "w:IN:13", "baseline") != one
-        assert golden_id("m1", "w:IN:14", "baseline") != one
-        assert golden_id("m1", "w:IN:13", "cobra") != one
+        key = pin_key("degree-count:KRON:13", "cobra")
+        assert key == pin_key("degree-count:KRON:13", "cobra")
+        assert key != pin_key("degree-count:KRON:14", "cobra")
+        assert key != pin_key("degree-count:KRON:13", "baseline")
+        assert key == "degree-count:KRON:13|cobra"
 
     def test_mode_objects_stringify(self):
-        from repro.harness.modes import BASELINE
-
-        assert golden_id("m", "p", BASELINE) == golden_id(
-            "m", "p", str(BASELINE)
-        )
+        assert pin_key("p", COBRA) == pin_key("p", "cobra")
+        assert pin_key("p", BASELINE) == "p|baseline"
 
 
 class TestRoundtrip:
     def test_put_get_roundtrip(self, tmp_path):
-        store = GoldenStore(tmp_path)
-        entry = make_entry()
-        store.put(entry)
-        found, status = store.get("m1", "w:IN:13", "baseline")
-        assert status == GoldenStore.STATUS_OK
-        assert found == entry
-        assert len(store) == 1
-
-    def test_put_rejects_missing_keys(self, tmp_path):
-        entry = make_entry()
-        del entry["counters"]
-        with pytest.raises(ValueError, match="counters"):
-            GoldenStore(tmp_path).put(entry)
+        path = tmp_path / "pins.json"
+        pins = {"p|cobra": pin(3), "p|baseline": pin(4)}
+        write_pins(pins, path)
+        assert load_pins(path) == pins
 
     def test_missing_entry(self, tmp_path):
-        entry, status = GoldenStore(tmp_path).get("m1", "w:IN:13", "pb-sw")
-        assert entry is None
-        assert status == GoldenStore.STATUS_MISSING
+        assert load_pins(tmp_path / "absent.json") == {}
+        write_pins({"p|cobra": pin()}, tmp_path / "pins.json")
+        assert "p|baseline" not in load_pins(tmp_path / "pins.json")
 
     def test_entries_sorted_by_point_and_mode(self, tmp_path):
-        store = GoldenStore(tmp_path)
-        store.put(make_entry(point="z:IN:13"))
-        store.put(make_entry(point="a:IN:13", mode="cobra"))
-        store.put(make_entry(point="a:IN:13", mode="baseline"))
-        assert [(e["point"], e["mode"]) for e in store.entries()] == [
-            ("a:IN:13", "baseline"),
-            ("a:IN:13", "cobra"),
-            ("z:IN:13", "baseline"),
-        ]
+        forward, backward = tmp_path / "a.json", tmp_path / "b.json"
+        keys = ["q|cobra", "p|cobra", "p|baseline"]
+        write_pins({k: pin() for k in keys}, forward)
+        write_pins({k: pin() for k in reversed(keys)}, backward)
+        text = forward.read_text("utf-8")
+        assert text == backward.read_text("utf-8")
+        assert text.endswith("}\n")
+        assert list(json.loads(text)) == sorted(keys)
+
+    def test_put_rejects_missing_keys(self, tmp_path):
+        bad = pin()
+        del bad["counters"]
+        with pytest.raises(ValueError, match="must hold exactly"):
+            write_pins({"p|cobra": bad}, tmp_path / "pins.json")
+        assert not (tmp_path / "pins.json").exists()
 
 
 class TestCorruptEntries:
-    """Unreadable goldens degrade to recapture with telemetry, mirroring
-    the checkpoint journal's torn-line handling."""
-
-    def assert_corrupt(self, store, telemetry, expected_events=1):
-        entry, status = store.get("m1", "w:IN:13", "baseline")
-        assert entry is None
-        assert status == GoldenStore.STATUS_CORRUPT
-        assert len(telemetry.of("golden_corrupt")) == expected_events
-
     def test_unparseable_json(self, tmp_path):
-        telemetry = RecordingTelemetry()
-        store = GoldenStore(tmp_path, telemetry=telemetry)
-        entry = make_entry()
-        store.put(entry)
-        store.path_for(entry["id"]).write_text("not json {", "utf-8")
-        self.assert_corrupt(store, telemetry)
-
-    def test_version_drift(self, tmp_path):
-        telemetry = RecordingTelemetry()
-        store = GoldenStore(tmp_path, telemetry=telemetry)
-        store.put(make_entry(version=FORMAT_VERSION + 1))
-        self.assert_corrupt(store, telemetry)
+        path = tmp_path / "pins.json"
+        path.write_text("torn{", "utf-8")
+        with pytest.raises(ValueError, match="unreadable pin file"):
+            load_pins(path)
 
     def test_missing_required_key(self, tmp_path):
-        telemetry = RecordingTelemetry()
-        store = GoldenStore(tmp_path, telemetry=telemetry)
-        entry = make_entry()
-        store.put(entry)
-        broken = dict(entry)
-        del broken["digest"]
-        store.path_for(entry["id"]).write_text(json.dumps(broken), "utf-8")
-        self.assert_corrupt(store, telemetry)
+        path = tmp_path / "pins.json"
+        path.write_text(json.dumps({"p|cobra": {"digest": "d"}}), "utf-8")
+        with pytest.raises(ValueError, match="must hold exactly"):
+            load_pins(path)
 
-    def test_id_address_mismatch(self, tmp_path):
-        telemetry = RecordingTelemetry()
-        store = GoldenStore(tmp_path, telemetry=telemetry)
-        entry = make_entry()
-        store.put(entry)
-        # A renamed/copied file whose body addresses a different point.
-        imposter = make_entry(point="other:IN:13")
-        store.path_for(entry["id"]).write_text(json.dumps(imposter), "utf-8")
-        self.assert_corrupt(store, telemetry)
-
-    def test_entries_skip_corrupt_files(self, tmp_path):
-        telemetry = RecordingTelemetry()
-        store = GoldenStore(tmp_path, telemetry=telemetry)
-        good = make_entry()
-        store.put(good)
-        (tmp_path / "ffffffffffffffff.json").write_text("torn", "utf-8")
-        assert store.entries() == [good]
-        assert len(telemetry.of("golden_corrupt")) == 1
-
-
-class TestFindPoint:
-    def test_finds_same_point_under_other_machine(self, tmp_path):
-        store = GoldenStore(tmp_path)
-        store.put(make_entry(machine="old-machine"))
-        found = store.find_point("w:IN:13", "baseline")
-        assert found is not None
-        assert found["machine_digest"] == "old-machine"
-        assert store.find_point("w:IN:13", "cobra") is None
-        assert store.find_point("other:IN:13", "baseline") is None
-
-
-class TestDefaultDir:
-    def test_env_override_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_GOLDEN_DIR", str(tmp_path / "g"))
-        assert default_golden_dir() == tmp_path / "g"
-
-    def test_repo_checkout_uses_results_dir(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GOLDEN_DIR", raising=False)
-        root = default_golden_dir()
-        assert root.parts[-3:] == ("benchmarks", "results", ".golden")
-
-    def test_installed_copy_falls_back_to_xdg(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_GOLDEN_DIR", raising=False)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        fake_pkg = tmp_path / "site" / "repro" / "golden" / "store.py"
-        fake_pkg.parent.mkdir(parents=True)
-        fake_pkg.write_text("", "utf-8")
-        root = default_golden_dir(package_file=fake_pkg)
-        assert root == tmp_path / "xdg" / "repro" / "golden"
+    def test_id_address_mismatch(self, tmp_path, points):
+        """A pin filed under another point's key carries that point's
+        digest, so replay reports it stale instead of diffing it."""
+        path = tmp_path / "pins.json"
+        pins = capture_pins(fresh_runner(), points, path)
+        (first, first_mode), (second, second_mode) = points
+        pins[pin_key(second.cache_key, second_mode)] = pins[
+            pin_key(first.cache_key, first_mode)
+        ]
+        write_pins(pins, path)
+        report = replay_pins(fresh_runner(), points, path)
+        assert [p.status for p in report.points] == [STATUS_PASS, STATUS_STALE]
+        assert not report.ok()

@@ -355,8 +355,19 @@ def _spawn_stalling_sweep(tmp_path):
             str(tmp_path / "state"),
         ],
         env=env,
+        start_new_session=True,
     )
     return child, root
+
+
+def _kill_process_group(child):
+    """SIGKILL the child's whole session: the sweep parent and the pool
+    workers it leaves behind when it dies without draining."""
+    try:
+        os.killpg(child.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    child.wait()
 
 
 def _wait_for_journal(root, lines, deadline=120.0):
@@ -406,9 +417,7 @@ class TestKilledParent:
             child.send_signal(signal.SIGTERM)
             assert child.wait(timeout=60) == 130
         finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
+            _kill_process_group(child)
         checkpoint = SweepCheckpoint.load(root, run_id)
         assert checkpoint.status == STATUS_INTERRUPTED
         completed = checkpoint.completed_counters()
@@ -426,9 +435,7 @@ class TestKilledParent:
             child.kill()
             child.wait(timeout=60)
         finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
+            _kill_process_group(child)
         checkpoint = SweepCheckpoint.load(root, run_id)
         # kill -9 never reaches mark_interrupted: the run stays "running".
         assert checkpoint.status == STATUS_RUNNING

@@ -26,8 +26,8 @@ class TestRegistry:
         assert knobs.read("REPRO_SERVICE_PORT", environ={}) is None
 
     def test_read_uses_process_environment_by_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_TIME_BAND", "0.25")
-        assert knobs.read("REPRO_REPLAY_TIME_BAND") == "0.25"
+        monkeypatch.setenv("REPRO_SERVICE_DRAIN_DEADLINE", "12")
+        assert knobs.read("REPRO_SERVICE_DRAIN_DEADLINE") == "12"
 
     def test_unregistered_name_raises_with_known_names(self):
         with pytest.raises(KeyError, match="REPRO_SERVICE_PORT"):

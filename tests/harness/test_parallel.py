@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness import BASELINE, COBRA, PB_SW, Runner
-from repro.harness.parallel import ParallelModel
+from repro.harness.experiments.scaling import ParallelModel
 from repro.workloads.registry import resolve
 
 SCALE = 15

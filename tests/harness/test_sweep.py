@@ -7,9 +7,10 @@ import pytest
 
 from repro.cache.coherence import DirectoryMESI
 from repro.harness import Runner
+from repro.harness.experiments.scaling import ParallelModel
 from repro.harness.machine import DEFAULT_MACHINE
 from repro.harness.modes import BASELINE, CHARACTERIZATION, COBRA, PB_SW
-from repro.harness.parallel import ParallelModel, run_sweep
+from repro.harness.parallel import run_sweep
 from repro.workloads.registry import resolve
 
 SCALE = 13

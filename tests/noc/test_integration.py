@@ -23,7 +23,7 @@ class TestGrounding:
         assert abs(derived - configured) / configured < 0.25
 
     def test_bank_count_matches_core_count(self):
-        from repro.harness.parallel import BASE_CORES
+        from repro.harness.experiments.scaling import BASE_CORES
 
         assert Mesh2D().num_nodes == BASE_CORES
 

@@ -97,26 +97,29 @@ class TestParser:
         assert args.telemetry is None
 
     def test_capture_and_replay_flags(self):
-        args = build_parser().parse_args(
-            ["capture", "--scale", "14", "--golden-dir", "g/"]
-        )
+        args = build_parser().parse_args(["capture", "--telemetry", "t.jsonl"])
         assert args.command == "capture"
-        assert args.scale == 14
-        assert args.golden_dir == "g/"
+        assert args.telemetry == "t.jsonl"
         args = build_parser().parse_args(
-            [
-                "replay", "--gate", "counters", "--time-band", "0.25",
-                "--report", "out.json", "--json",
-            ]
+            ["replay", "--report", "out.json", "--json"]
         )
-        assert args.gate == "counters"
-        assert args.time_band == 0.25
         assert args.report == "out.json"
         assert args.json is True
+        # The pin file is the canary: no store, scale or point overrides.
+        for flag in (
+            ["--golden-dir", "g/"], ["--scale", "14"],
+            ["--spec", "degree-count/KRON@12"],
+        ):
+            for command in ("capture", "replay"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, *flag])
 
     def test_replay_rejects_unknown_gate(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["replay", "--gate", "vibes"])
+        # Counters are the only gate, so no gate (or timing band) is known.
+        for flag in (["--gate", "vibes"], ["--gate", "counters"],
+                     ["--time-band", "0.25"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["replay", *flag])
 
     def test_trend_flags(self):
         args = build_parser().parse_args(
@@ -300,31 +303,31 @@ class TestGoldenCommands:
     @pytest.fixture()
     def isolated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_GOLDEN_DIR", str(tmp_path / "golden"))
         monkeypatch.delenv("REPRO_REPLAY_PERTURB", raising=False)
         return tmp_path
 
-    def test_capture_then_honest_replay_passes(self, isolated):
+    def test_capture_then_honest_replay_passes(self, isolated, monkeypatch):
+        from repro.golden import replay
+
+        tracked = replay.PINS_PATH
+        monkeypatch.setattr(replay, "PINS_PATH", isolated / "pins.json")
         code, output = self.collect(["capture"])
         assert code == 0
-        assert "6 golden(s)" in output
-        code, output = self.collect(["replay", "--time-band", "1e9"])
+        assert "13 pin(s)" in output
+        # An unchanged tree re-records the tracked file byte for byte.
+        assert (isolated / "pins.json").read_bytes() == tracked.read_bytes()
+        code, output = self.collect(["replay"])
         assert code == 0
-        assert "pass 6  fail 0" in output
+        assert "pass 13  fail 0" in output
         assert "counters bit-identical" in output
 
     def test_perturbed_replay_fails_counters_gate(
         self, isolated, monkeypatch
     ):
-        assert self.collect(["capture"])[0] == 0
-        monkeypatch.setenv("REPRO_REPLAY_PERTURB", "3")
+        """The CI drill: perturbed counters fail against the tracked pins."""
+        monkeypatch.setenv("REPRO_REPLAY_PERTURB", "1")
         report_path = isolated / "replay.json"
-        code, output = self.collect(
-            [
-                "replay", "--gate", "counters", "--time-band", "1e9",
-                "--report", str(report_path),
-            ]
-        )
+        code, output = self.collect(["replay", "--report", str(report_path)])
         assert code == 1
         assert "COUNTER DRIFT DETECTED" in output
         assert "phases[0].instructions" in output
@@ -336,22 +339,32 @@ class TestGoldenCommands:
         assert "COUNTER DRIFT DETECTED" in rendered
 
     def test_replay_emits_json_payload(self, isolated):
-        assert self.collect(["capture"])[0] == 0
-        code, output = self.collect(
-            ["replay", "--json", "--time-band", "1e9"]
-        )
+        code, output = self.collect(["replay", "--json"])
         assert code == 0
         import json
 
         payload = json.loads(output)
         assert payload["ok"] is True
-        assert payload["summary"]["pass"] == 6
+        assert payload["summary"]["pass"] == 13
 
-    def test_replay_against_empty_store_bootstraps_green(self, isolated):
+    def test_replay_against_empty_pins_fails(self, isolated, monkeypatch):
+        from repro.golden import replay
+
+        monkeypatch.setattr(replay, "PINS_PATH", isolated / "absent.json")
         code, output = self.collect(["replay"])
-        assert code == 0
-        assert "missing 6" in output
-        assert "need recapture" in output
+        assert code == 1
+        assert "missing 13" in output
+        assert "python -m repro capture" in output
+
+    def test_replay_on_malformed_pins_is_exit_2(self, isolated, monkeypatch):
+        from repro.golden import replay
+
+        path = isolated / "pins.json"
+        path.write_text("torn{", "utf-8")
+        monkeypatch.setattr(replay, "PINS_PATH", path)
+        code, output = self.collect(["replay"])
+        assert code == 2
+        assert "unreadable pin file" in output
 
     def test_report_needs_exactly_one_source(self, tmp_path):
         code, output = self.collect(["report"])
@@ -525,7 +538,7 @@ class TestRunsJson:
 
 class TestWorkloadRegistryCLI:
     """The registry-facing surfaces: `workloads`, `point --spec`, and
-    slash-form specs on `submit` and `capture`."""
+    slash-form specs on `submit`."""
 
     def collect(self, argv):
         lines = []
@@ -544,15 +557,6 @@ class TestWorkloadRegistryCLI:
         assert args.workload == "degree-count"
         assert args.input == "KRON"
         assert args.spec is None
-
-    def test_parser_accepts_capture_specs(self):
-        args = build_parser().parse_args(
-            ["capture", "--spec", "csr-build/KARATE:cobra",
-             "--spec", "degree-count/KRON@12"]
-        )
-        assert args.spec == [
-            "csr-build/KARATE:cobra", "degree-count/KRON@12"
-        ]
 
     def test_workloads_lists_full_registry(self):
         from repro.workloads.registry import WORKLOADS
