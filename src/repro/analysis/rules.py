@@ -126,11 +126,12 @@ _FLOAT_COUNTER_ATTRS = frozenset(
     }
 )
 
-#: Cross-module vector/scalar engine pairs (module, vector class,
-#: scalar module, scalar class).
+#: Cross-module fast-path/oracle pairs (module, fast class or module-level
+#: function, oracle module, oracle class).
 _BACKEND_PAIRS = (
     ("cache/batchsim.py", "BatchHierarchy", "cache/fastsim.py", "FastHierarchy"),
     ("des/eviction_model.py", "EvictionBufferModel", "des/engine.py", "Simulator"),
+    ("core/binwalk.py", "binning_counts", "core/machine.py", "CobraMachine"),
 )
 
 #: Directory name marking a compiled-kernel package: every module inside
@@ -691,6 +692,10 @@ def _module_str_constant(
     return None, None
 
 
+#: Module-level definitions a ``_BACKEND_PAIRS`` fast path may be.
+_PAIRED_DEFS = (ast.ClassDef, ast.FunctionDef)
+
+
 def check_backend_pairing(ctx: LintContext) -> Iterator[Finding]:
     for source in ctx.package_files():
         for node in source.tree.body:
@@ -735,18 +740,16 @@ def check_backend_pairing(ctx: LintContext) -> Iterator[Finding]:
         source = ctx.module(module_rel)
         if source is None:
             continue
-        class_names = {
-            node.name
-            for node in source.tree.body
-            if isinstance(node, ast.ClassDef)
-        }
-        if vector_cls not in class_names:
-            continue
         line = next(
-            node.lineno
-            for node in source.tree.body
-            if isinstance(node, ast.ClassDef) and node.name == vector_cls
+            (
+                node.lineno
+                for node in source.tree.body
+                if isinstance(node, _PAIRED_DEFS) and node.name == vector_cls
+            ),
+            None,
         )
+        if line is None:
+            continue
         scalar_src = ctx.module(scalar_rel)
         scalar_names = (
             {

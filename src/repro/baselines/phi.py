@@ -75,8 +75,3 @@ class PhiMachine(CobraMachine):
     def coalesced_per_level(self):
         """Updates merged at each level (PHI coalesces ~97% at the LLC)."""
         return {level.name: level.coalesced for level in self.levels}
-
-    @property
-    def coalesced(self):
-        """Total updates merged across the hierarchy."""
-        return sum(level.coalesced for level in self.levels)

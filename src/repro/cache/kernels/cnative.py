@@ -1,7 +1,8 @@
 """Native C replay kernels built with the system compiler (``cnative``).
 
-The batched cache engine's flat-array kernels and the eviction-buffer DES
-live here as a single C translation unit, compiled once with
+The batched cache engine's flat-array kernels, the eviction-buffer DES and
+the counts-only C-Buffer walk live here as a single C translation unit,
+compiled once with
 ``cc -O2 -shared`` into a content-addressed shared object (keyed by the
 SHA-256 of the source, so a kernel change rebuilds and an unchanged source
 reuses the cached build), and bound through :mod:`ctypes`. No third-party
@@ -10,10 +11,12 @@ packages, no setuptools — just the compiler.
 The cache kernels are equivalence-tested to bit-identical counters against
 the scalar oracle :class:`~repro.cache.fastsim.FastHierarchy`
 (``tests/cache/test_kernel_backends.py``), and the DES against the
-generator-engine oracle (``tests/des/test_fastloop.py``). :func:`available`
-gates the tier: no compiler, a failed build, or an unloadable object all
-report ``False``, and callers fall back to the ``numpy`` tier (cache) or
-the generator oracle (DES).
+generator-engine oracle (``tests/des/test_fastloop.py``), and the C-Buffer
+walk against the Python COBRA machines (``tests/core/test_binwalk.py``).
+:func:`available` gates the tier: no compiler, a failed build, or an
+unloadable object all report ``False``, and callers fall back to the
+``numpy`` tier (cache), the generator oracle (DES) or the Python machine
+(C-Buffer walk).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "drrip_level_replay_flat",
     "prefetch_scan_native",
     "eviction_pipeline_native",
+    "cbuffer_walk_counts",
 ]
 
 #: Scalar twin the C kernels are equivalence-tested against (the
@@ -577,6 +581,97 @@ int64_t eviction_pipeline_replay(
     free(arena);
     return 0;
 }
+
+/* Counts-only walk of the COBRA C-Buffer hierarchy (the behaviour of
+   repro.core.machine.CobraMachine, whose PHI and COBRA-COMM variants use
+   repro.core.comm.CoalescingCBufferArray levels). Each level holds
+   num_buffers fixed-capacity lines of per_line indices. A coalescing
+   level merges an index already in its line (a linear search over the
+   distinct-index slots); a plain level appends. A line that fills is
+   evicted and its indices are scattered into the next level depth-first,
+   exactly as CobraMachine._scatter recurses; a full LLC line goes to
+   memory. The flush drains levels 0 -> 2 in buffer-id order. A scatter
+   only touches deeper levels, so an evicted line is read in place.
+   geometry = per level [num_buffers, shift, per_line, coalesce];
+   slots (sum num_buffers * per_line) and fill (sum num_buffers) are
+   caller-zeroed scratch. out = [tuples, l1_evictions, l2_evictions,
+   llc_evictions, flush_lines, coalesced]. */
+typedef struct {
+    int64_t num_buffers, shift, per_line, coalesce;
+    int64_t *slots, *fill;
+} cb_level_t;
+
+typedef struct {
+    cb_level_t level[3];
+    int64_t evictions[3];
+    int64_t coalesced;
+} cb_walk_t;
+
+/* Hidden rather than static: gcc emits static functions ahead of the
+   exported ones, which would shift the replay kernels above and change
+   their code alignment (on an x86-64 host, that shift slowed DRRIP
+   replay by about 7%). Hidden also keeps the recursion off the PLT. */
+__attribute__((visibility("hidden")))
+void cbuffer_walk_insert(cb_walk_t *w, int tier, int64_t index)
+{
+    cb_level_t *lv = &w->level[tier];
+    int64_t buffer = index >> lv->shift;
+    int64_t *line = lv->slots + buffer * lv->per_line;
+    int64_t count = lv->fill[buffer];
+    if (lv->coalesce) {
+        for (int64_t s = 0; s < count; s++) {
+            if (line[s] == index) { w->coalesced++; return; }
+        }
+    }
+    line[count++] = index;
+    if (count < lv->per_line) { lv->fill[buffer] = count; return; }
+    lv->fill[buffer] = 0;
+    w->evictions[tier]++;
+    if (tier < 2) {
+        for (int64_t s = 0; s < count; s++) cbuffer_walk_insert(w, tier + 1, line[s]);
+    }
+}
+
+int64_t cbuffer_walk_counts(
+    int64_t n, const int64_t *indices, const int64_t *geometry,
+    int64_t *slots, int64_t *fill, int64_t *out)
+{
+    cb_walk_t w;
+    memset(&w, 0, sizeof w);
+    for (int tier = 0; tier < 3; tier++) {
+        cb_level_t *lv = &w.level[tier];
+        lv->num_buffers = geometry[4 * tier];
+        lv->shift = geometry[4 * tier + 1];
+        lv->per_line = geometry[4 * tier + 2];
+        lv->coalesce = geometry[4 * tier + 3];
+        lv->slots = slots;
+        lv->fill = fill;
+        slots += lv->num_buffers * lv->per_line;
+        fill += lv->num_buffers;
+    }
+    for (int64_t i = 0; i < n; i++) cbuffer_walk_insert(&w, 0, indices[i]);
+    int64_t flush_lines = 0;
+    for (int tier = 0; tier < 3; tier++) {
+        cb_level_t *lv = &w.level[tier];
+        for (int64_t b = 0; b < lv->num_buffers; b++) {
+            int64_t count = lv->fill[b];
+            if (count == 0) continue;
+            lv->fill[b] = 0;
+            if (tier == 2) { flush_lines++; continue; }
+            const int64_t *line = lv->slots + b * lv->per_line;
+            for (int64_t s = 0; s < count; s++) {
+                cbuffer_walk_insert(&w, tier + 1, line[s]);
+            }
+        }
+    }
+    out[0] = n;
+    out[1] = w.evictions[0];
+    out[2] = w.evictions[1];
+    out[3] = w.evictions[2];
+    out[4] = flush_lines;
+    out[5] = w.coalesced;
+    return 0;
+}
 """
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
@@ -607,6 +702,7 @@ _SIGNATURES = {
         ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _F64, _I64,
     ),
+    "cbuffer_walk_counts": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64),
 }
 
 _lib = None
@@ -808,3 +904,22 @@ def eviction_pipeline_native(trace, cfg):
         [int(out_i[0]), int(out_i[1]), int(out_i[2])],
         [int(out_i[3]), int(out_i[4]), int(out_i[5])],
     )
+
+
+def cbuffer_walk_counts(indices, geometry):
+    """Counts of one C-Buffer hierarchy walk plus its flush.
+
+    ``indices`` is a contiguous int64 array already checked against the
+    namespace; ``geometry`` holds ``(num_buffers, shift, tuples_per_line,
+    coalesces)`` per level, L1 first. Returns ``[tuples, l1_evictions,
+    l2_evictions, llc_evictions, flush_lines, coalesced]``.
+    """
+    levels = np.array(geometry, dtype=np.int64)
+    slots = np.zeros(int((levels[:, 0] * levels[:, 2]).sum()), dtype=np.int64)
+    fill = np.zeros(int(levels[:, 0].sum()), dtype=np.int64)
+    out = np.zeros(6, dtype=np.int64)
+    load().cbuffer_walk_counts(
+        indices.shape[0], _ptr(indices, _I64), _ptr(levels, _I64),
+        _ptr(slots, _I64), _ptr(fill, _I64), _ptr(out, _I64),
+    )
+    return [int(count) for count in out]

@@ -7,6 +7,7 @@ context-switch waste model.
 """
 
 from repro.core.binlayout import SequentialBins
+from repro.core.binwalk import binning_counts
 from repro.core.cbuffer import CBufferArray, CBufferLine
 from repro.core.comm import REDUCE_OPS, CoalescingCBufferArray, CobraCommMachine
 from repro.core.config import CobraConfig, LevelBinning
@@ -29,5 +30,6 @@ __all__ = [
     "MemoryBins",
     "REDUCE_OPS",
     "SequentialBins",
+    "binning_counts",
     "simulate_context_switches",
 ]

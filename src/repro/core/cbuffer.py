@@ -79,6 +79,9 @@ class CBufferArray:
     ones.
     """
 
+    #: Updates merged in place; a plain level never merges.
+    coalesced = 0
+
     def __init__(self, num_buffers, bin_range, tuples_per_line, name=""):
         check_positive("num_buffers", num_buffers)
         check_positive("bin_range", bin_range)

@@ -101,8 +101,3 @@ class CobraCommMachine(CobraMachine):
             self.reduce_op,
             name=name,
         )
-
-    @property
-    def coalesced(self):
-        """Updates merged at the LLC (DRAM tuples saved)."""
-        return self.levels[2].coalesced if self.levels else 0

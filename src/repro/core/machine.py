@@ -11,7 +11,7 @@ and traffic statistics the experiments need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro._util import check_positive
 from repro.core.cbuffer import CBufferArray
@@ -79,8 +79,13 @@ class BinningStats:
     l2_evictions: int = 0
     llc_evictions: int = 0
     flush_lines: int = 0
-    coalesced: int = 0  # used by the COBRA-COMM specialization
-    extra: dict = field(default_factory=dict)
+    coalesced: int = 0  # updates merged in coalescing C-Buffers
+
+    @property
+    def lines_written(self):
+        """DRAM lines written into bins: full evictions plus flushed lines
+        (what :meth:`MemoryBins.write_line` counts)."""
+        return self.llc_evictions + self.flush_lines
 
 
 class CobraMachine:
@@ -101,7 +106,7 @@ class CobraMachine:
         self.config = config
         self.levels = None
         self.memory_bins = None
-        self.stats = BinningStats()
+        self._stats = BinningStats()
         self._initialized = False
 
     # ------------------------------------------------------------------ #
@@ -140,7 +145,7 @@ class CobraMachine:
                 cfg.tuple_bytes,
                 cfg.hierarchy.line_bytes,
             )
-        self.stats = BinningStats()
+        self._stats = BinningStats()
         self._initialized = True
         return self
 
@@ -161,10 +166,10 @@ class CobraMachine:
             raise IndexError(
                 f"index {index} outside [0, {self.config.num_indices})"
             )
-        self.stats.tuples += 1
+        self._stats.tuples += 1
         full = self.levels[0].insert(index, value)
         if full is not None:
-            self.stats.l1_evictions += 1
+            self._stats.l1_evictions += 1
             self._scatter(1, full[1])
 
     def binupdate_many(self, indices, values=None):
@@ -198,7 +203,7 @@ class CobraMachine:
             full = level.insert(index, value)
             if full is not None:
                 if tier == 1:
-                    self.stats.l2_evictions += 1
+                    self._stats.l2_evictions += 1
                     self._scatter(2, full[1])
                 else:
                     self._write_llc_line(full[1])
@@ -209,9 +214,9 @@ class CobraMachine:
             return
         bin_id = tuples[0][0] >> self.levels[2].shift
         if not partial_ok:
-            self.stats.llc_evictions += 1
+            self._stats.llc_evictions += 1
         else:
-            self.stats.flush_lines += 1
+            self._stats.flush_lines += 1
         self.memory_bins.write_line(bin_id, tuples)
 
     # ------------------------------------------------------------------ #
@@ -234,6 +239,17 @@ class CobraMachine:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
+
+    @property
+    def stats(self):
+        """Counts so far; ``coalesced`` mirrors :attr:`coalesced`."""
+        self._stats.coalesced = self.coalesced
+        return self._stats
+
+    @property
+    def coalesced(self):
+        """Updates merged in coalescing C-Buffers (DRAM tuples saved)."""
+        return sum(level.coalesced for level in self.levels or ())
 
     @property
     def buffered_tuples(self):

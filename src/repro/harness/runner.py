@@ -24,6 +24,7 @@ from repro.cache.batchsim import BatchHierarchy
 from repro.cache.fastsim import FastHierarchy
 from repro.cache.stats import MemoryTraffic, ServiceCounts
 from repro.core import costs
+from repro.core.binwalk import binning_counts
 from repro.core.comm import CobraCommMachine
 from repro.cpu.branch import GSharePredictor, simulate_sites
 from repro.cpu.timing import TimingModel
@@ -93,6 +94,13 @@ class Runner:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         if trace_chunk < 0:
             raise ValueError(f"trace_chunk must be >= 0, got {trace_chunk!r}")
+        for name, budget in (
+            ("max_sim_events", max_sim_events),
+            ("des_sample", des_sample),
+            ("comm_sample", comm_sample),
+        ):
+            if budget <= 0:
+                raise ValueError(f"{name} must be > 0, got {budget!r}")
         if engine == "batch":
             reason = BatchHierarchy.reject_reason(machine.hierarchy)
             if reason is not None:
@@ -408,12 +416,6 @@ class Runner:
         cobra = self.cobra_config(workload)
         n = workload.num_updates
         sample_n = min(n, self.comm_sample)
-        indices = workload.update_indices[:sample_n]
-        values = (
-            np.ones(sample_n)
-            if workload.update_values is None
-            else workload.update_values[:sample_n]
-        )
         if mode == modes.PHI:
             machine = PhiMachine(cobra, plan.compromise, workload.reduce_op)
             accumulate_spec = plan.compromise
@@ -421,12 +423,12 @@ class Runner:
             machine = CobraCommMachine(cobra, workload.reduce_op)
             accumulate_spec = cobra.memory_bin_spec
         machine.bininit()
-        machine.binupdate_many(indices.tolist(), values.tolist())
-        machine.binflush()
-        scale = n / sample_n
-        coalesce_rate = machine.coalesced / sample_n
+        counts = binning_counts(machine, workload.update_indices[:sample_n])
+        # An empty stream coalesces nothing and writes no line.
+        scale = n / sample_n if sample_n else 0.0
+        coalesce_rate = counts.coalesced / sample_n if sample_n else 0.0
         n_effective = int(round(n * (1.0 - coalesce_rate)))
-        hw_lines = int(round(machine.memory_bins.lines_written * scale))
+        hw_lines = int(round(counts.lines_written * scale))
 
         init = workload._init_phase(accumulate_spec)
         binning = PhaseSpec(
@@ -452,7 +454,7 @@ class Runner:
         accumulate.instructions = n_effective * workload.accum_instr_per_update
         accumulate.branches = n_effective
         accumulate.streaming_bytes = n_effective * workload.tuple_bytes
-        accumulate.coalesced_discount = int(round(machine.coalesced * scale))
+        accumulate.coalesced_discount = int(round(counts.coalesced * scale))
         return [init, binning, accumulate]
 
     # ------------------------------------------------------------------ #

@@ -2,6 +2,9 @@
 quiet when the violation is suppressed (``# repro: noqa[rule]``) or
 allowlisted, and stays quiet on compliant code."""
 
+import pytest
+
+from repro.analysis import rules
 from tests.analysis.conftest import lint_findings
 
 
@@ -343,6 +346,72 @@ class TestBackendPairing:
                             return outcomes
                     """
             }
+        )
+        assert lint_findings(root, "backend-pairing") == []
+
+
+FUNCTION_FAST_PATH = """\
+    def walk_counts(machine, indices):
+        return machine
+    """
+
+FUNCTION_ORACLE = """\
+    class OracleMachine:
+        def update(self, index):
+            return index
+    """
+
+
+class TestFunctionPairing:
+    """A ``_BACKEND_PAIRS`` fast path may be a module-level function."""
+
+    @pytest.fixture(autouse=True)
+    def pair(self, monkeypatch):
+        monkeypatch.setattr(
+            rules,
+            "_BACKEND_PAIRS",
+            (("core/fastwalk.py", "walk_counts", "core/oracle.py",
+              "OracleMachine"),),
+        )
+
+    def test_missing_oracle_flagged(self, mini_tree):
+        root = mini_tree(
+            {
+                "src/repro/core/fastwalk.py": FUNCTION_FAST_PATH,
+                "src/repro/core/oracle.py": "MACHINE = None\n",
+            }
+        )
+        findings = lint_findings(root, "backend-pairing")
+        assert len(findings) == 1
+        assert "lost its scalar reference engine OracleMachine" in (
+            findings[0].message
+        )
+        assert findings[0].path == "src/repro/core/fastwalk.py"
+
+    def test_missing_equivalence_test_flagged(self, mini_tree):
+        root = mini_tree(
+            {
+                "src/repro/core/fastwalk.py": FUNCTION_FAST_PATH,
+                "src/repro/core/oracle.py": FUNCTION_ORACLE,
+            }
+        )
+        findings = lint_findings(root, "backend-pairing")
+        assert len(findings) == 1
+        assert "walk_counts and OracleMachine" in findings[0].message
+
+    def test_equivalence_test_satisfies_rule(self, mini_tree):
+        root = mini_tree(
+            {
+                "src/repro/core/fastwalk.py": FUNCTION_FAST_PATH,
+                "src/repro/core/oracle.py": FUNCTION_ORACLE,
+            },
+            tests={
+                "core/test_fastwalk.py": """\
+                    def test_walk_matches_machine():
+                        machine = OracleMachine()
+                        assert walk_counts(machine, []) is machine
+                    """
+            },
         )
         assert lint_findings(root, "backend-pairing") == []
 

@@ -138,3 +138,24 @@ class TestPhaseAccounting:
     ):
         binning = runner.run(degree_count, COBRA).phase("binning")
         assert binning.branch_mispredicts == 0
+
+
+class TestSampleBudgets:
+    """Non-positive sample budgets are rejected up front: 0 divides by
+    zero at every PHI/COBRA-COMM point and a negative one slices from
+    the end of the stream."""
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_max_sim_events_rejected(self, value):
+        with pytest.raises(ValueError, match="max_sim_events"):
+            Runner(max_sim_events=value)
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_des_sample_rejected(self, value):
+        with pytest.raises(ValueError, match="des_sample"):
+            Runner(des_sample=value)
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_comm_sample_rejected(self, value):
+        with pytest.raises(ValueError, match="comm_sample"):
+            Runner(comm_sample=value)

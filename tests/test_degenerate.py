@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import CobraConfig, CobraMachine
 from repro.graphs import EdgeList, build_csr
+from repro.harness import Runner
 from repro.pb import BinSpec, CBufferModel, PropagationBlocker, bin_updates, plan_bins
 from repro.workloads import DegreeCount, NeighborPopulate, Pagerank
 
@@ -41,6 +42,16 @@ class TestEmptyStreams:
         assert np.array_equal(workload.run_reference(), np.zeros(8, dtype=np.int64))
         (phase,) = workload.baseline_phases()
         assert phase.instructions == 0
+
+    @pytest.mark.parametrize("mode", ["phi", "cobra-comm"])
+    def test_empty_stream_coalescing_modes(self, mode):
+        """An empty stream coalesces nothing and writes no bin line."""
+        workload = DegreeCount(EdgeList([], [], 8))
+        result = Runner().run(workload, mode, use_cache=False)
+        binning = result.phase("binning")
+        assert binning.instructions == 0
+        assert binning.traffic.writes == 0
+        assert result.phase("accumulate").instructions == 0
 
 
 class TestSingleBin:
